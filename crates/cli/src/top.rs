@@ -87,10 +87,12 @@ fn fetch_stats(addr: SocketAddr) -> Result<String, String> {
             std::thread::sleep(Duration::from_millis(100));
         }
         let ex = exchange(addr, &req, &cfg);
-        if let Some(s) = ex.stats {
-            return Ok(s);
+        match ex.stats {
+            // The proxy may also flip a bit inside the snapshot itself.
+            Some(s) if Json::parse(&s).is_ok() => return Ok(s),
+            Some(_) => last = "unparseable snapshot",
+            None => last = ex.outcome.name(),
         }
-        last = ex.outcome.name();
     }
     Err(format!(
         "no STATS from {addr} after {POLL_ATTEMPTS} attempts (last outcome: {last}); \

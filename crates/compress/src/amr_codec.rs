@@ -29,10 +29,9 @@ use crate::wire::{ByteReader, ByteWriter};
 use crate::{CompressError, Compressor, ErrorBound};
 use amrviz_par::scratch;
 
-/// Magic byte opening a serialized [`CompressedHierarchyField`] container
-/// (v2 and later). v1 streams had no magic — they began directly with the
-/// `f64` error bound — and are still accepted by
-/// [`CompressedHierarchyField::from_bytes`].
+/// Magic byte opening a serialized [`CompressedHierarchyField`] container.
+/// The retired v1 layout had no magic (it began directly with the `f64`
+/// error bound); [`CompressedHierarchyField::from_bytes`] rejects it.
 pub const CONTAINER_MAGIC: u8 = 0xC3;
 
 /// Current container wire version. v2 added the magic/version preamble and
@@ -121,45 +120,28 @@ impl CompressedHierarchyField {
         Self::from_bytes_budgeted(bytes, &DecodeBudget::default())
     }
 
-    /// Parses a serialized container, validating every declared count
-    /// against `budget` and the remaining input before allocation.
-    ///
-    /// Accepts both wire versions: v2 (magic `0xC3`, version 2, per-blob
-    /// checksums) and the legacy v1 layout (no magic, no checksums — the
-    /// stream opens directly with the `f64` bound). For v1, checksums are
-    /// computed from the parsed blobs so downstream verification passes
-    /// trivially. A v1 stream whose first bytes collide with the v2 magic
-    /// is still recovered by falling back to a v1 parse when the v2 parse
-    /// fails. Parsing is structural only — a blob with a wrong checksum is
-    /// parsed fine here and surfaces later, per-fab, during decode (which
-    /// is what lets [`DecodePolicy::Degrade`] repair it).
+    /// Parses a serialized v2 container, validating every declared count
+    /// against `budget` and the remaining input before allocation. Any
+    /// other preamble — including the retired v1 layout — is a typed
+    /// [`CompressError::Malformed`]. Parsing is structural only — a blob
+    /// with a wrong checksum is parsed fine here and surfaces later,
+    /// per-fab, during decode (which is what lets [`DecodePolicy::Degrade`]
+    /// repair it).
     pub fn from_bytes_budgeted(bytes: &[u8], budget: &DecodeBudget) -> Result<Self, CompressError> {
-        if bytes.len() >= 2 && bytes[0] == CONTAINER_MAGIC {
-            if bytes[1] == CONTAINER_VERSION {
-                return match Self::parse_v2(bytes, budget) {
-                    Ok(s) => Ok(s),
-                    // Could be a v1 stream that happens to open with the
-                    // magic bytes; give it one chance before reporting the
-                    // v2 error.
-                    Err(v2_err) => Self::parse_v1(bytes, budget).map_err(|_| v2_err),
-                };
+        match bytes {
+            [CONTAINER_MAGIC, CONTAINER_VERSION, ..] => {}
+            [CONTAINER_MAGIC, v, ..] => {
+                return Err(CompressError::Malformed(format!(
+                    "unsupported container version {v} (expected {CONTAINER_VERSION})"
+                )))
             }
-            // Magic with an unknown version: a future format — unless it's
-            // a colliding v1 stream, which still parses.
-            return Self::parse_v1(bytes, budget).map_err(|_| {
-                CompressError::Malformed(format!(
-                    "unsupported container version {} (expected {})",
-                    bytes[1], CONTAINER_VERSION
+            _ => {
+                return Err(CompressError::Malformed(
+                    "missing container magic (v1 streams are no longer accepted)".into(),
                 ))
-            });
+            }
         }
-        Self::parse_v1(bytes, budget)
-    }
-
-    fn parse_v2(bytes: &[u8], budget: &DecodeBudget) -> Result<Self, CompressError> {
-        let mut r = ByteReader::with_budget(bytes, *budget);
-        r.u8()?; // magic
-        r.u8()?; // version
+        let mut r = ByteReader::with_budget(&bytes[2..], *budget);
         let abs_eb = r.f64()?;
         let n_values = budget.check_values(r.uvarint()? as usize)?;
         let nlev = r.uvarint()? as usize;
@@ -199,38 +181,6 @@ impl CompressedHierarchyField {
             abs_eb,
             n_values,
         })
-    }
-
-    fn parse_v1(bytes: &[u8], budget: &DecodeBudget) -> Result<Self, CompressError> {
-        let mut r = ByteReader::with_budget(bytes, *budget);
-        let abs_eb = r.f64()?;
-        let n_values = budget.check_values(r.uvarint()? as usize)?;
-        let nlev = r.uvarint()? as usize;
-        if nlev > r.remaining() {
-            return Err(CompressError::Malformed(
-                "level count exceeds stream".into(),
-            ));
-        }
-        let mut blobs = Vec::with_capacity(nlev);
-        for _ in 0..nlev {
-            let nfab = r.uvarint()? as usize;
-            // Each blob costs at least one byte (its length prefix).
-            if nfab > r.remaining() {
-                return Err(CompressError::Malformed("blob count exceeds stream".into()));
-            }
-            let mut level = Vec::with_capacity(nfab);
-            for _ in 0..nfab {
-                // Owned copy required, as in `parse_v2`.
-                level.push(r.section()?.to_vec());
-            }
-            blobs.push(level);
-        }
-        if r.remaining() != 0 {
-            return Err(CompressError::Malformed(
-                "trailing bytes after container".into(),
-            ));
-        }
-        Ok(Self::from_blobs(blobs, abs_eb, n_values))
     }
 }
 
@@ -1184,29 +1134,42 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_stream_still_decodes() {
+    fn v1_shaped_and_failed_v2_streams_are_malformed() {
         let h = two_level_hier();
-        let comp = SzInterp;
-        let cfg = AmrCodecConfig::default();
-        let c = compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
-        // Serialize by hand in the v1 layout (no magic, no checksums).
-        let mut w = ByteWriter::new();
-        w.f64(c.abs_eb);
-        w.uvarint(c.n_values as u64);
-        w.uvarint(c.blobs.len() as u64);
-        for level in &c.blobs {
-            w.uvarint(level.len() as u64);
-            for blob in level {
-                w.section(blob);
+        let c = compress_hierarchy_field(
+            &h,
+            "rho",
+            &SzInterp,
+            ErrorBound::Rel(1e-3),
+            &AmrCodecConfig::default(),
+        )
+        .unwrap();
+        // The retired v1 layout: no magic, no checksums.
+        let v1 = |abs_eb: f64| {
+            let mut w = ByteWriter::new();
+            w.f64(abs_eb);
+            w.uvarint(c.n_values as u64);
+            w.uvarint(c.blobs.len() as u64);
+            for level in &c.blobs {
+                w.uvarint(level.len() as u64);
+                for blob in level {
+                    w.section(blob);
+                }
+            }
+            w.finish()
+        };
+        // A bound whose little-endian bytes open with the v2 magic and
+        // version: the v2 parse fails, and there is no v1 fallback.
+        let colliding =
+            f64::from_le_bytes([CONTAINER_MAGIC, CONTAINER_VERSION, 0, 0, 0, 0, 0xF0, 0x3F]);
+        let mut trailing = c.to_bytes();
+        trailing.push(0);
+        for bytes in [v1(c.abs_eb), v1(colliding), trailing] {
+            match CompressedHierarchyField::from_bytes(&bytes) {
+                Err(CompressError::Malformed(_)) => {}
+                other => panic!("expected Malformed, got {other:?}"),
             }
         }
-        let v1 = w.finish();
-        let back = CompressedHierarchyField::from_bytes(&v1).unwrap();
-        assert_eq!(back.abs_eb, c.abs_eb);
-        assert_eq!(back.blobs, c.blobs);
-        assert_eq!(back.checksums, c.checksums, "v1 checksums recomputed");
-        let levels = decompress_hierarchy_field(&h, &back, &comp, &cfg).unwrap();
-        assert_eq!(levels.len(), 2);
     }
 
     #[test]

@@ -20,9 +20,9 @@ use amrviz_codec::{
 };
 use amrviz_compress::{
     compress_hierarchy_field, compress_zmesh, decompress_hierarchy_field_into,
-    decompress_hierarchy_field_policy, zmesh::decompress_zmesh_budgeted, AmrCodecConfig,
-    CompressedHierarchyField, Compressor, DecodePolicy, ErrorBound, Field3, SzInterp, SzLr,
-    ZfpLike,
+    decompress_hierarchy_field_policy, wire::ByteWriter, zmesh::decompress_zmesh_budgeted,
+    AmrCodecConfig, CompressError, CompressedHierarchyField, Compressor, DecodePolicy, ErrorBound,
+    Field3, SzInterp, SzLr, ZfpLike,
 };
 use amrviz_recipe::ScenarioSpec;
 use amrviz_rng::Rng;
@@ -385,6 +385,34 @@ fn build_targets() -> Vec<Target> {
     )
     .expect("corpus hierarchy compresses");
     let container = compressed.to_bytes();
+
+    // The same container in the retired v1 layout (no magic, no
+    // checksums). v2 is the only wire format, so this target's clean
+    // outcome is a typed `Malformed` rejection; accepting it is an error.
+    let mut v1 = ByteWriter::new();
+    v1.f64(compressed.abs_eb);
+    v1.uvarint(compressed.n_values as u64);
+    v1.uvarint(compressed.blobs.len() as u64);
+    for level in &compressed.blobs {
+        v1.uvarint(level.len() as u64);
+        for blob in level {
+            v1.section(blob);
+        }
+    }
+    targets.push(Target::fixed(
+        "container_v1_rejected",
+        v1.finish(),
+        Box::new(|bytes, budget| {
+            match CompressedHierarchyField::from_bytes_budgeted(bytes, budget) {
+                Err(CompressError::Malformed(_)) => Ok(()),
+                Err(e) => Err(fail(e)),
+                Ok(_) => Err(DecodeFailure {
+                    class: "corrupt",
+                    msg: "v1-shaped stream accepted as a container".into(),
+                }),
+            }
+        }),
+    ));
 
     targets.push(Target::fixed(
         "container_from_bytes",

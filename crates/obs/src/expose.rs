@@ -1,13 +1,20 @@
-//! Metric exposition: point-in-time snapshots of the recorder as JSON and
-//! Prometheus-style text, plus a periodic background snapshot writer.
+//! Metric exposition: point-in-time snapshots of one or more
+//! [`Registry`]s as JSON and Prometheus-style text, plus a periodic
+//! background snapshot writer.
+//!
+//! Both renderers take a slice of registries and sum same-named metrics
+//! across them (the same bucket-wise merge that sums a registry's shards).
+//! The writer renders the global recorder's registry together with every
+//! registry [`attach`]ed while it runs — that is how each `amrviz serve`
+//! server's own registry reaches `--metrics-out` without a second copy.
 //!
 //! Two formats from one snapshot pass:
 //!
 //! * **JSON** (`amrviz-metrics-v1`) — machine-readable document carrying
-//!   both *lifetime* aggregates (since the last [`crate::reset`]) and the
-//!   *rolling window* view (trailing [`crate::window::coverage_seconds`]),
-//!   plus the recorder's `obs.*` self-accounting meta-metrics. Consumed
-//!   by `amrviz stats`.
+//!   both *lifetime* aggregates and the *rolling window* view (trailing
+//!   `window_secs`, clamped to each registry's coverage), plus the
+//!   recorder's `obs.*` self-accounting meta-metrics. Consumed by
+//!   `amrviz stats`.
 //! * **Prometheus text exposition** — `amrviz_<name>` families with
 //!   counter totals, gauge values, and histogram summaries (quantiles
 //!   0.5/0.9/0.99 over the rolling window, `_sum`/`_count` lifetime), for
@@ -22,12 +29,12 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::hist::Histogram;
-use crate::{lock_clean, window};
+use crate::{lock_clean, recorder, Registry};
 
 /// Metrics snapshot schema identifier.
 pub const METRICS_SCHEMA: &str = "amrviz-metrics-v1";
@@ -65,18 +72,52 @@ pub fn hist_stats_json(h: &Histogram) -> String {
     )
 }
 
-/// Renders the full recorder state as one `amrviz-metrics-v1` JSON
-/// document (single line, suitable for atomic replacement). `window_secs`
-/// bounds the rolling-window view; pass
-/// [`window::coverage_seconds`] for "everything the ring covers".
-pub fn snapshot_json(window_secs: f64) -> String {
-    let (slot_nanos, slots) = window::config();
-    let counters = crate::counters_snapshot();
-    let counters_w = crate::counters_window_snapshot(window_secs);
-    let gauges = crate::gauges_snapshot();
-    let gauges_w = crate::gauges_window_snapshot(window_secs);
-    let hists = crate::histograms_snapshot();
-    let hists_w = crate::histograms_window_snapshot(window_secs);
+/// Lifetime and windowed views of a set of registries, same-named metrics
+/// summed (gauges: the last registry that has the name wins).
+#[derive(Default)]
+struct Merged {
+    counters: BTreeMap<&'static str, (u64, u64)>,
+    gauges: BTreeMap<&'static str, (f64, Option<f64>)>,
+    hists: BTreeMap<&'static str, (Histogram, Option<Histogram>)>,
+}
+
+fn merged(regs: &[&Registry], window_secs: f64) -> Merged {
+    let mut m = Merged::default();
+    for reg in regs {
+        for (name, v) in reg.counters_snapshot() {
+            m.counters.entry(name).or_default().0 += v;
+        }
+        for (name, v) in reg.counters_window_snapshot(window_secs) {
+            m.counters.entry(name).or_default().1 += v;
+        }
+        for (name, v) in reg.gauges_snapshot() {
+            m.gauges.insert(name, (v, None));
+        }
+        for (name, v) in reg.gauges_window_snapshot(window_secs) {
+            m.gauges.entry(name).or_insert((v, None)).1 = Some(v);
+        }
+        for (name, h) in reg.histograms_snapshot() {
+            m.hists.entry(name).or_default().0.merge(&h);
+        }
+        for (name, h) in reg.histograms_window_snapshot(window_secs) {
+            m.hists
+                .entry(name)
+                .or_default()
+                .1
+                .get_or_insert_with(Histogram::new)
+                .merge(&h);
+        }
+    }
+    m
+}
+
+/// Renders `regs` as one `amrviz-metrics-v1` JSON document (single line,
+/// suitable for atomic replacement). `window_secs` bounds the
+/// rolling-window view; the `window` header reports the first registry's
+/// geometry, and `uptime_ns` and `meta` come from the global recorder.
+pub fn snapshot_json(regs: &[&Registry], window_secs: f64) -> String {
+    let (slot_nanos, slots) = regs.first().map_or((0, 0), |r| r.geometry());
+    let m = merged(regs, window_secs);
     let meta = crate::meta_snapshot();
 
     let mut out = format!(
@@ -87,52 +128,36 @@ pub fn snapshot_json(window_secs: f64) -> String {
         fmt_f64(window_secs),
     );
 
-    out.push_str(",\"counters\":{");
-    for (i, (name, lifetime)) in counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let w = counters_w.get(name).copied().unwrap_or(0);
-        out.push_str(&format!(
+    // An optional `window` view, as the tail of a metric's object.
+    let window = |w: Option<String>| w.map_or(String::new(), |w| format!(",\"window\":{w}"));
+    let counters = m.counters.iter().map(|(name, (lifetime, w))| {
+        format!(
             "\"{}\":{{\"lifetime\":{lifetime},\"window\":{w}}}",
             crate::json_escape(name)
-        ));
-    }
-    out.push('}');
-
-    out.push_str(",\"gauges\":{");
-    for (i, (name, last)) in gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{}\":{{\"last\":{}",
+        )
+    });
+    let gauges = m.gauges.iter().map(|(name, (last, w))| {
+        format!(
+            "\"{}\":{{\"last\":{}{}}}",
             crate::json_escape(name),
-            fmt_f64(*last)
-        ));
-        if let Some(w) = gauges_w.get(name) {
-            out.push_str(&format!(",\"window\":{}", fmt_f64(*w)));
-        }
-        out.push('}');
-    }
-    out.push('}');
-
-    out.push_str(",\"histograms\":{");
-    for (i, (name, h)) in hists.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{}\":{{\"lifetime\":{}",
+            fmt_f64(*last),
+            window(w.map(fmt_f64))
+        )
+    });
+    let hists = m.hists.iter().map(|(name, (h, w))| {
+        format!(
+            "\"{}\":{{\"lifetime\":{}{}}}",
             crate::json_escape(name),
-            hist_stats_json(h)
-        ));
-        if let Some(w) = hists_w.get(name) {
-            out.push_str(&format!(",\"window\":{}", hist_stats_json(w)));
-        }
-        out.push('}');
-    }
-    out.push('}');
+            hist_stats_json(h),
+            window(w.as_ref().map(hist_stats_json))
+        )
+    });
+    out.push_str(&format!(
+        ",\"counters\":{},\"gauges\":{},\"histograms\":{}",
+        json_object(counters),
+        json_object(gauges),
+        json_object(hists)
+    ));
 
     out.push_str(&format!(
         ",\"meta\":{{\"overhead_us\":{},\"spans_recorded\":{},\
@@ -144,6 +169,11 @@ pub fn snapshot_json(window_secs: f64) -> String {
         meta.journal_enqueued,
     ));
     out
+}
+
+/// A JSON object from rendered `"key":value` entries.
+fn json_object(entries: impl Iterator<Item = String>) -> String {
+    format!("{{{}}}", entries.collect::<Vec<_>>().join(","))
 }
 
 /// Sanitizes a metric name into a Prometheus identifier
@@ -161,30 +191,30 @@ fn prom_name(name: &str) -> String {
     out
 }
 
-/// Renders the recorder state as Prometheus text exposition. Counters and
-/// `_sum`/`_count` are lifetime totals; histogram quantiles are computed
-/// over the trailing `window_secs` rolling window (falling back to the
-/// lifetime distribution when the window is empty).
-pub fn prometheus_text(window_secs: f64) -> String {
+/// Renders `regs` as Prometheus text exposition (same merge as
+/// [`snapshot_json`]). Counters and `_sum`/`_count` are lifetime totals;
+/// histogram quantiles are computed over the trailing `window_secs`
+/// rolling window (falling back to the lifetime distribution when the
+/// window is empty).
+pub fn prometheus_text(regs: &[&Registry], window_secs: f64) -> String {
+    let m = merged(regs, window_secs);
     let mut out = String::new();
-    for (name, v) in crate::counters_snapshot() {
+    for (name, (v, _)) in &m.counters {
         let p = prom_name(name);
         out.push_str(&format!(
             "# TYPE amrviz_{p}_total counter\namrviz_{p}_total {v}\n"
         ));
     }
-    for (name, v) in crate::gauges_snapshot() {
+    for (name, (v, _)) in &m.gauges {
         let p = prom_name(name);
         out.push_str(&format!(
             "# TYPE amrviz_{p} gauge\namrviz_{p} {}\n",
-            fmt_f64(v)
+            fmt_f64(*v)
         ));
     }
-    let hists = crate::histograms_snapshot();
-    let hists_w = crate::histograms_window_snapshot(window_secs);
-    for (name, lifetime) in &hists {
+    for (name, (lifetime, w)) in &m.hists {
         let p = prom_name(name);
-        let q = hists_w.get(name).unwrap_or(lifetime);
+        let q = w.as_ref().unwrap_or(lifetime);
         out.push_str(&format!("# TYPE amrviz_{p} summary\n"));
         for (label, pct) in [("0.5", 50.0), ("0.9", 90.0), ("0.99", 99.0)] {
             out.push_str(&format!(
@@ -241,17 +271,39 @@ fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Writes the JSON snapshot to `path` and the Prometheus exposition to the
-/// sibling `path.with_extension("prom")`, each via temp-file + atomic
-/// rename so concurrent readers never observe a torn document.
+/// Writes the JSON snapshot of the global registry plus every attached
+/// one to `path` and the Prometheus exposition to the sibling
+/// `path.with_extension("prom")`, each via temp-file + atomic rename so
+/// concurrent readers never observe a torn document. The window view
+/// spans the global registry's coverage.
 pub fn write_snapshot(path: &Path) -> std::io::Result<()> {
-    let window_secs = window::coverage_seconds();
-    write_atomic(path, &snapshot_json(window_secs))?;
-    write_atomic(&path.with_extension("prom"), &prometheus_text(window_secs))
+    let global = &recorder().metrics;
+    let attached = lock_clean(&ATTACHED).clone();
+    let mut regs = vec![global];
+    regs.extend(attached.iter().map(Arc::as_ref));
+    let window_secs = global.coverage_seconds();
+    write_atomic(path, &snapshot_json(&regs, window_secs))?;
+    write_atomic(
+        &path.with_extension("prom"),
+        &prometheus_text(&regs, window_secs),
+    )
 }
 
 static WRITER_ACTIVE: AtomicBool = AtomicBool::new(false);
 static WRITER_STOP: AtomicBool = AtomicBool::new(false);
+
+/// Registries the writer renders next to the global one.
+static ATTACHED: Mutex<Vec<Arc<Registry>>> = Mutex::new(Vec::new());
+
+/// Adds `reg` to every snapshot the running writer takes, including the
+/// final one [`writer_stop`] flushes; the writer lets go of it when it
+/// stops. No-op when no writer is running.
+pub fn attach(reg: Arc<Registry>) {
+    let mut list = lock_clean(&ATTACHED);
+    if WRITER_ACTIVE.load(Ordering::SeqCst) {
+        list.push(reg);
+    }
+}
 
 fn writer_handle() -> &'static Mutex<Option<JoinHandle<()>>> {
     static H: OnceLock<Mutex<Option<JoinHandle<()>>>> = OnceLock::new();
@@ -300,23 +352,18 @@ pub fn writer_start(path: PathBuf, interval: Duration) -> Result<(), String> {
     Ok(())
 }
 
-/// Stops the periodic writer, flushing one final snapshot. No-op when no
-/// writer is running.
+/// Stops the periodic writer, flushing one final snapshot, and detaches
+/// every attached registry. No-op when no writer is running.
 pub fn writer_stop() {
     if WRITER_ACTIVE.load(Ordering::SeqCst) {
         WRITER_STOP.store(true, Ordering::SeqCst);
         if let Some(h) = lock_clean(writer_handle()).take() {
             let _ = h.join();
         }
+        let mut list = lock_clean(&ATTACHED);
+        list.clear();
         WRITER_ACTIVE.store(false, Ordering::SeqCst);
     }
-}
-
-/// Formats a snapshot's histogram map as the human-readable table used by
-/// `--timing` output (re-exported convenience over [`crate::hist::render_text`]).
-pub fn render_window_text(window_secs: f64) -> String {
-    let hists: BTreeMap<&'static str, Histogram> = crate::histograms_window_snapshot(window_secs);
-    crate::hist::render_text(&hists)
 }
 
 #[cfg(test)]
@@ -339,7 +386,8 @@ mod tests {
         crate::gauge_set("exp.eb", 0.5);
         crate::histogram_record("exp.lat", 100);
         crate::disable();
-        let j = snapshot_json(window::coverage_seconds());
+        let global = &crate::recorder().metrics;
+        let j = snapshot_json(&[global], global.coverage_seconds());
         assert!(j.starts_with("{\"schema\":\"amrviz-metrics-v1\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count(), "{j}");
         assert!(j.contains("\"exp.bytes\":{\"lifetime\":10,\"window\":10}"));
@@ -347,12 +395,31 @@ mod tests {
         assert!(j.contains("\"p99\""));
         assert!(j.contains("\"meta\""));
 
-        let p = prometheus_text(window::coverage_seconds());
+        let p = prometheus_text(&[global], global.coverage_seconds());
         assert!(p.contains("amrviz_exp_bytes_total 10"));
         assert!(p.contains("amrviz_exp_eb 0.5"));
         assert!(p.contains("amrviz_exp_lat{quantile=\"0.99\"}"));
         assert!(p.contains("amrviz_obs_overhead_us"));
         assert!(p.contains("amrviz_obs_dropped_events"));
+    }
+
+    #[test]
+    fn renderers_sum_same_named_metrics_across_registries() {
+        let a = Registry::new(Duration::from_secs(5), 12);
+        let b = Registry::new(Duration::from_secs(5), 720);
+        a.counter_add("m.hits", 2);
+        b.counter_add("m.hits", 3);
+        a.histogram_record("m.lat", 10);
+        b.histogram_record("m.lat", 30);
+        let p = prometheus_text(&[&a, &b], 60.0);
+        assert!(p.contains("amrviz_m_hits_total 5"), "{p}");
+        assert!(p.contains("amrviz_m_lat_count 2"), "{p}");
+        let j = snapshot_json(&[&a, &b], 60.0);
+        assert!(
+            j.contains("\"m.hits\":{\"lifetime\":5,\"window\":5}"),
+            "{j}"
+        );
+        assert!(j.contains("\"slot_ns\":5000000000,\"slots\":12"), "{j}");
     }
 
     #[test]
@@ -365,7 +432,8 @@ mod tests {
             crate::histogram_record("bkt.lat", v);
         }
         crate::disable();
-        let p = prometheus_text(window::coverage_seconds());
+        let global = &crate::recorder().metrics;
+        let p = prometheus_text(&[global], global.coverage_seconds());
 
         // Parse the `_bucket{le=...}` lines back out of the exposition.
         let mut buckets: Vec<(f64, u64)> = Vec::new();

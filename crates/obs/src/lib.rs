@@ -24,16 +24,16 @@
 //!   stage/level summary with percentages; [`flame::write_flamegraph`]
 //!   renders the span tree as collapsed stacks or a self-contained HTML
 //!   flamegraph.
-//! * **Continuous operation** — counters/gauges/histograms additionally
-//!   feed a ring of rolling time windows ([`window`]) so "p99 over the
-//!   last minute" is queryable at any instant without [`reset`]; every
-//!   root span starts a **trace** (deterministic splitmix-derived
-//!   `trace_id`, propagated across `amrviz-par` workers via
-//!   [`current_context`] / [`context_scope`]); completed spans can stream
-//!   to a JSONL [`journal`]; and [`expose`] writes periodic JSON +
-//!   Prometheus-style metric snapshots. The recorder accounts for its own
-//!   cost in `obs.overhead_us` / `obs.dropped_events` meta-metrics
-//!   ([`meta_snapshot`]).
+//! * **Continuous operation** — counters/gauges/histograms live in a
+//!   [`Registry`] whose cells also feed a ring of rolling time windows
+//!   ([`window`]), so "p99 over the last minute" is queryable at any
+//!   instant without [`reset`]; every root span starts a **trace**
+//!   (deterministic splitmix-derived `trace_id`, propagated across
+//!   `amrviz-par` workers via [`current_context`] / [`context_scope`]);
+//!   completed spans can stream to a JSONL [`journal`]; and [`expose`]
+//!   writes periodic JSON + Prometheus-style metric snapshots. The
+//!   recorder accounts for its own cost in `obs.overhead_us` /
+//!   `obs.dropped_events` meta-metrics ([`meta_snapshot`]).
 //!
 //! # Overhead
 //!
@@ -68,7 +68,10 @@ pub mod flame;
 pub mod hist;
 pub mod journal;
 pub mod mem;
+pub mod registry;
 pub mod slo;
+
+pub use registry::Registry;
 
 /// Synchronously drains pending journal lines to disk — see
 /// [`journal::flush`]. Exposed at the crate root because serve's graceful
@@ -84,7 +87,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Number of event/counter shards; indexed by thread id so pool workers
 /// almost never contend on the same lock.
@@ -209,11 +212,10 @@ struct Recorder {
     /// order on the submitting thread, so this sequence — and therefore
     /// the derived trace ids — is thread-count invariant.
     next_trace: AtomicU64,
-    epoch: Instant,
     events: [Mutex<Vec<SpanEvent>>; SHARDS],
-    counters: [Mutex<BTreeMap<&'static str, window::WindowedCounter>>; SHARDS],
-    gauges: Mutex<BTreeMap<&'static str, window::WindowedGauge>>,
-    hists: [Mutex<BTreeMap<&'static str, window::WindowedHistogram>>; SHARDS],
+    /// Counters, gauges and histograms; its epoch is also the origin of
+    /// span `start_ns` and journal `ts_ns`.
+    metrics: Registry,
 }
 
 impl Recorder {
@@ -224,24 +226,17 @@ impl Recorder {
             next_id: AtomicU64::new(1),
             next_thread: AtomicU64::new(0),
             next_trace: AtomicU64::new(0),
-            epoch: Instant::now(),
             events: std::array::from_fn(|_| Mutex::new(Vec::new())),
-            counters: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
-            gauges: Mutex::new(BTreeMap::new()),
-            hists: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
+            // One minute of rolling windows: 12 slots of 5 s.
+            metrics: Registry::new(Duration::from_secs(5), 12),
         }
-    }
-
-    /// Current rolling-window slot under the global [`window::config`].
-    fn now_slot(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64 / window::config().0
     }
 }
 
 /// Nanoseconds since the recorder epoch (process-global monotonic origin
 /// shared by span `start_ns` values and journal `ts_ns` stamps).
 pub fn epoch_elapsed_ns() -> u64 {
-    recorder().epoch.elapsed().as_nanos() as u64
+    recorder().metrics.elapsed_ns()
 }
 
 static RECORDER: OnceLock<Recorder> = OnceLock::new();
@@ -500,13 +495,7 @@ pub fn reset() {
     for shard in &r.events {
         lock_clean(shard).clear();
     }
-    for shard in &r.counters {
-        lock_clean(shard).clear();
-    }
-    lock_clean(&r.gauges).clear();
-    for shard in &r.hists {
-        lock_clean(shard).clear();
-    }
+    r.metrics.clear();
     OVERHEAD_NS.store(0, Ordering::Relaxed);
     SPANS_RECORDED.store(0, Ordering::Relaxed);
     mem::reset_peak();
@@ -533,13 +522,7 @@ pub fn counter_add(name: &'static str, delta: u64) {
         return;
     }
     let t0 = Instant::now();
-    let r = recorder();
-    let slot = r.now_slot();
-    let shard = (thread_id() as usize) % SHARDS;
-    lock_clean(&r.counters[shard])
-        .entry(name)
-        .or_default()
-        .add(slot, delta);
+    recorder().metrics.counter_add(name, delta);
     overhead_add(t0);
 }
 
@@ -555,12 +538,7 @@ pub fn gauge_set(name: &'static str, value: f64) {
         return;
     }
     let t0 = Instant::now();
-    let r = recorder();
-    let slot = r.now_slot();
-    lock_clean(&r.gauges)
-        .entry(name)
-        .or_insert_with(|| window::WindowedGauge::new(value))
-        .set(slot, value);
+    recorder().metrics.gauge_set(name, value);
     overhead_add(t0);
 }
 
@@ -571,13 +549,7 @@ pub fn histogram_record(name: &'static str, value: u64) {
         return;
     }
     let t0 = Instant::now();
-    let r = recorder();
-    let slot = r.now_slot();
-    let shard = (thread_id() as usize) % SHARDS;
-    lock_clean(&r.hists[shard])
-        .entry(name)
-        .or_default()
-        .record(slot, value);
+    recorder().metrics.histogram_record(name, value);
     overhead_add(t0);
 }
 
@@ -585,82 +557,36 @@ pub fn histogram_record(name: &'static str, value: u64) {
 /// last [`reset`]). Shard merge is a bucket-wise integer sum, so the
 /// result is independent of which thread recorded which sample.
 pub fn histograms_snapshot() -> BTreeMap<&'static str, hist::Histogram> {
-    let r = recorder();
-    let mut out: BTreeMap<&'static str, hist::Histogram> = BTreeMap::new();
-    for shard in &r.hists {
-        for (k, h) in lock_clean(shard).iter() {
-            out.entry(*k).or_default().merge(&h.lifetime);
-        }
-    }
-    out
+    recorder().metrics.histograms_snapshot()
 }
 
 /// Merged histogram snapshot over the trailing `last_secs` seconds
-/// (clamped to the configured window coverage).
+/// (clamped to the one-minute window coverage).
 pub fn histograms_window_snapshot(last_secs: f64) -> BTreeMap<&'static str, hist::Histogram> {
-    let r = recorder();
-    let now = r.now_slot();
-    let k = window::slots_for_secs(last_secs);
-    let mut out: BTreeMap<&'static str, hist::Histogram> = BTreeMap::new();
-    for shard in &r.hists {
-        for (name, h) in lock_clean(shard).iter() {
-            out.entry(*name)
-                .or_default()
-                .merge(&h.window_merged(now, k));
-        }
-    }
-    // Drop metrics that went quiet before the window opened.
-    out.retain(|_, h| h.count() > 0);
-    out
+    recorder().metrics.histograms_window_snapshot(last_secs)
 }
 
 /// Merged *lifetime* snapshot of all counters (monotonic since the last
 /// [`reset`]; window rotation never lowers these).
 pub fn counters_snapshot() -> BTreeMap<&'static str, u64> {
-    let r = recorder();
-    let mut out = BTreeMap::new();
-    for shard in &r.counters {
-        for (k, v) in lock_clean(shard).iter() {
-            *out.entry(*k).or_insert(0) += v.lifetime;
-        }
-    }
-    out
+    recorder().metrics.counters_snapshot()
 }
 
 /// Counter totals over the trailing `last_secs` seconds (clamped to the
-/// configured window coverage). Quiet counters report 0 and are omitted.
+/// window coverage). Quiet counters report 0 and are omitted.
 pub fn counters_window_snapshot(last_secs: f64) -> BTreeMap<&'static str, u64> {
-    let r = recorder();
-    let now = r.now_slot();
-    let k = window::slots_for_secs(last_secs);
-    let mut out = BTreeMap::new();
-    for shard in &r.counters {
-        for (name, v) in lock_clean(shard).iter() {
-            *out.entry(*name).or_insert(0) += v.window_sum(now, k);
-        }
-    }
-    out.retain(|_, v| *v > 0);
-    out
+    recorder().metrics.counters_window_snapshot(last_secs)
 }
 
 /// Snapshot of all gauges (last written value, lifetime).
 pub fn gauges_snapshot() -> BTreeMap<&'static str, f64> {
-    lock_clean(&recorder().gauges)
-        .iter()
-        .map(|(k, g)| (*k, g.last))
-        .collect()
+    recorder().metrics.gauges_snapshot()
 }
 
 /// Gauges written within the trailing `last_secs` seconds (most recent
 /// value inside the window; gauges that went quiet earlier are omitted).
 pub fn gauges_window_snapshot(last_secs: f64) -> BTreeMap<&'static str, f64> {
-    let r = recorder();
-    let now = r.now_slot();
-    let k = window::slots_for_secs(last_secs);
-    lock_clean(&r.gauges)
-        .iter()
-        .filter_map(|(name, g)| g.window_last(now, k).map(|v| (*name, v)))
-        .collect()
+    recorder().metrics.gauges_window_snapshot(last_secs)
 }
 
 /// Snapshot of all completed spans, ordered by start time.
@@ -738,7 +664,7 @@ impl SpanGuard {
                 name,
                 fields,
                 thread: thread_id(),
-                start_ns: r.epoch.elapsed().as_nanos() as u64,
+                start_ns: r.metrics.elapsed_ns(),
                 mem: mem::frame_enter(),
                 trace,
                 sampled,
@@ -1088,7 +1014,7 @@ mod tests {
         gauge_set("win.eb", 0.5);
         histogram!("win.lat", 42u64);
         disable();
-        let cover = window::coverage_seconds();
+        let cover = recorder().metrics.coverage_seconds();
         assert_eq!(counters_snapshot()["win.bytes"], 100);
         assert_eq!(counters_window_snapshot(cover)["win.bytes"], 100);
         assert_eq!(gauges_window_snapshot(cover)["win.eb"], 0.5);

@@ -3,12 +3,12 @@
 //!
 //! Continuous operation (`amrviz serve`, long repro batches) needs "p99
 //! over the last minute" answerable at any instant *without* resetting the
-//! recorder. The scheme here is a ring of `N` time slots of `slot_nanos`
-//! each (default 12 × 5 s = one minute of coverage):
+//! recorder. The scheme here is a ring of `N` time slots of fixed width
+//! (the owning [`Registry`] fixes both at construction; the global
+//! recorder's is 12 × 5 s = one minute of coverage):
 //!
-//! * Every recorded value lands in the slot `elapsed / slot_nanos`
-//!   (computed from the recorder epoch), stored at ring index
-//!   `slot % N`.
+//! * Every recorded value lands in the slot `elapsed / slot width`
+//!   (computed from the registry epoch), stored at ring index `slot % N`.
 //! * Rotation is **lazy**: nothing ticks in the background. When a write
 //!   hits a ring entry whose stored slot id is stale, the entry is simply
 //!   overwritten with a fresh value for the current slot — O(1), no
@@ -18,14 +18,15 @@
 //!   covers) are skipped, so an idle metric naturally decays to empty.
 //!
 //! The ring itself is time-free: callers pass explicit slot ids, which is
-//! what makes the unit tests deterministic. The recorder derives "now"
-//! from its epoch; see [`crate::counters_window_snapshot`].
+//! what makes the unit tests deterministic.
 //!
 //! **Windows vs. lifetime totals**: every windowed cell also carries a
 //! lifetime aggregate that rotation never touches — rotation only
-//! recycles ring entries. Only [`crate::reset`] clears lifetime totals.
-
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+//! recycles ring entries. Only [`Registry::clear`] (which [`crate::reset`]
+//! calls on the global registry) clears lifetime totals.
+//!
+//! [`Registry`]: crate::registry::Registry
+//! [`Registry::clear`]: crate::registry::Registry::clear
 
 use crate::hist::Histogram;
 
@@ -33,53 +34,15 @@ use crate::hist::Histogram;
 /// that would need ~585 years of uptime at 1 ns slots).
 const EMPTY: u64 = u64::MAX;
 
-/// Default slot width: 5 seconds.
-pub const DEFAULT_SLOT_NANOS: u64 = 5_000_000_000;
-
-/// Default ring size: 12 slots (one minute of coverage at the default
-/// width).
-pub const DEFAULT_SLOTS: usize = 12;
-
-static SLOT_NANOS: AtomicU64 = AtomicU64::new(DEFAULT_SLOT_NANOS);
-static SLOTS: AtomicUsize = AtomicUsize::new(DEFAULT_SLOTS);
-
-/// Configures the global window scheme: `slot_secs` per slot, `slots`
-/// ring entries (coverage = `slot_secs * slots`). Affects rings created
-/// *after* the call, so configure before [`crate::enable`]; existing cells
-/// keep their old geometry until the next [`crate::reset`].
-pub fn set_window(slot_secs: f64, slots: usize) {
-    let ns = (slot_secs.max(1e-3) * 1e9) as u64;
-    SLOT_NANOS.store(ns.max(1), Ordering::Relaxed);
-    SLOTS.store(slots.clamp(1, 4096), Ordering::Relaxed);
-}
-
-/// Current global window geometry as `(slot_nanos, slots)`.
-pub fn config() -> (u64, usize) {
-    (
-        SLOT_NANOS.load(Ordering::Relaxed),
-        SLOTS.load(Ordering::Relaxed),
-    )
-}
-
-/// Window coverage in seconds under the current geometry.
-pub fn coverage_seconds() -> f64 {
-    let (ns, n) = config();
-    ns as f64 * n as f64 / 1e9
-}
-
-/// Number of slots needed to cover the trailing `secs` seconds, clamped to
-/// the ring size.
-pub fn slots_for_secs(secs: f64) -> u64 {
-    let (ns, n) = config();
-    let k = (secs.max(0.0) * 1e9 / ns as f64).ceil() as u64;
-    k.clamp(1, n as u64)
-}
-
 /// A fixed-size ring of `(slot id, value)` entries with lazy rotation.
 /// Pure data structure: callers supply slot ids (the recorder derives them
 /// from its epoch), so behaviour is fully deterministic under test.
 #[derive(Debug, Clone)]
 pub struct SlotRing<T> {
+    /// Ring size.
+    n: u64,
+    /// Entries, grown on first write up to the written index, so a ring
+    /// costs memory only for the slots its metric has lived through.
     slots: Vec<(u64, T)>,
 }
 
@@ -87,30 +50,19 @@ impl<T: Default> SlotRing<T> {
     /// Ring of `n` slots (clamped to at least 1), all empty.
     pub fn new(n: usize) -> Self {
         SlotRing {
-            slots: (0..n.max(1)).map(|_| (EMPTY, T::default())).collect(),
+            n: n.max(1) as u64,
+            slots: Vec::new(),
         }
-    }
-
-    /// Ring sized by the global [`config`].
-    pub fn with_global_config() -> Self {
-        SlotRing::new(config().1)
-    }
-
-    /// Number of ring entries.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether every entry is empty (never written or fully recycled).
-    pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|(id, _)| *id == EMPTY)
     }
 
     /// Mutable access to the value for `slot`, lazily recycling the ring
     /// entry (resetting it to `T::default()`) when it still holds an older
     /// slot's data.
     pub fn slot_mut(&mut self, slot: u64) -> &mut T {
-        let idx = (slot % self.slots.len() as u64) as usize;
+        let idx = (slot % self.n) as usize;
+        if idx >= self.slots.len() {
+            self.slots.resize_with(idx + 1, || (EMPTY, T::default()));
+        }
         let entry = &mut self.slots[idx];
         if entry.0 != slot {
             *entry = (slot, T::default());
@@ -131,8 +83,8 @@ impl<T: Default> SlotRing<T> {
 }
 
 /// A counter cell: monotonic lifetime total plus a windowed ring.
-/// Rotation recycles ring slots only; `lifetime` survives until
-/// [`crate::reset`].
+/// Rotation recycles ring slots only; `lifetime` survives until the
+/// owning registry is cleared.
 #[derive(Debug, Clone)]
 pub struct WindowedCounter {
     pub lifetime: u64,
@@ -140,20 +92,11 @@ pub struct WindowedCounter {
 }
 
 impl WindowedCounter {
-    pub fn new() -> Self {
+    /// Zero counter over a ring of `slots` entries.
+    pub fn new(slots: usize) -> Self {
         WindowedCounter {
             lifetime: 0,
-            ring: SlotRing::with_global_config(),
-        }
-    }
-
-    /// Counter with an explicit ring size, independent of the global
-    /// geometry — for subsystems (e.g. serve telemetry) that need longer
-    /// coverage than the recorder's window without reconfiguring it.
-    pub fn with_slots(n: usize) -> Self {
-        WindowedCounter {
-            lifetime: 0,
-            ring: SlotRing::new(n),
+            ring: SlotRing::new(slots),
         }
     }
 
@@ -169,12 +112,6 @@ impl WindowedCounter {
     }
 }
 
-impl Default for WindowedCounter {
-    fn default() -> Self {
-        WindowedCounter::new()
-    }
-}
-
 /// A gauge cell: last-written value plus a per-slot last-write ring, so a
 /// window query reports the most recent value written inside the window
 /// (`None` when the gauge went quiet before the window opened).
@@ -185,10 +122,11 @@ pub struct WindowedGauge {
 }
 
 impl WindowedGauge {
-    pub fn new(value: f64) -> Self {
+    /// Gauge holding `value` over a ring of `slots` entries.
+    pub fn new(value: f64, slots: usize) -> Self {
         WindowedGauge {
             last: value,
-            ring: SlotRing::with_global_config(),
+            ring: SlotRing::new(slots),
         }
     }
 
@@ -212,26 +150,18 @@ impl WindowedGauge {
 /// window view merges slot histograms with the same commutative bucket
 /// sum as the shard merge, so windowed percentiles are thread-count
 /// invariant for a fixed multiset of samples.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct WindowedHistogram {
     pub lifetime: Histogram,
     pub ring: SlotRing<Histogram>,
 }
 
 impl WindowedHistogram {
-    pub fn new() -> Self {
+    /// Empty histogram over a ring of `slots` entries.
+    pub fn new(slots: usize) -> Self {
         WindowedHistogram {
             lifetime: Histogram::new(),
-            ring: SlotRing::with_global_config(),
-        }
-    }
-
-    /// Histogram with an explicit ring size, independent of the global
-    /// geometry (see [`WindowedCounter::with_slots`]).
-    pub fn with_slots(n: usize) -> Self {
-        WindowedHistogram {
-            lifetime: Histogram::new(),
-            ring: SlotRing::new(n),
+            ring: SlotRing::new(slots),
         }
     }
 
@@ -244,24 +174,10 @@ impl WindowedHistogram {
     /// Merged histogram over the trailing `k` slots ending at `now_slot`.
     pub fn window_merged(&self, now_slot: u64, k: u64) -> Histogram {
         let mut out = Histogram::new();
-        for (_, h) in self.iter_ordered(now_slot, k) {
+        for (_, h) in self.ring.iter_window(now_slot, k) {
             out.merge(h);
         }
         out
-    }
-
-    /// Window entries in ascending slot order (merge order never changes
-    /// the result — this just makes iteration deterministic for tests).
-    fn iter_ordered(&self, now_slot: u64, k: u64) -> Vec<(u64, &Histogram)> {
-        let mut v: Vec<(u64, &Histogram)> = self.ring.iter_window(now_slot, k).collect();
-        v.sort_by_key(|(id, _)| *id);
-        v
-    }
-}
-
-impl Default for SlotRing<Histogram> {
-    fn default() -> Self {
-        SlotRing::with_global_config()
     }
 }
 
@@ -381,21 +297,5 @@ mod tests {
             assert_eq!(fwd, expect, "window merge must equal direct recording");
             assert_eq!(rev, expect, "merge order must not matter");
         });
-    }
-
-    #[test]
-    fn global_config_roundtrip() {
-        // Mutating the global geometry races with recorder tests that
-        // create rings; serialize on the crate-wide test lock.
-        let _g = crate::tests::guard();
-        let (ns0, n0) = config();
-        set_window(0.5, 6);
-        assert_eq!(config(), (500_000_000, 6));
-        assert!((coverage_seconds() - 3.0).abs() < 1e-9);
-        assert_eq!(slots_for_secs(1.2), 3);
-        assert_eq!(slots_for_secs(100.0), 6, "clamped to the ring size");
-        assert_eq!(slots_for_secs(0.0), 1);
-        // Restore for other tests.
-        set_window(ns0 as f64 / 1e9, n0);
     }
 }

@@ -82,17 +82,9 @@ impl ArenaCache {
         let mut st = self.state.lock().unwrap();
         st.tick += 1;
         let tick = st.tick;
-        match st.map.get_mut(&key) {
-            Some(slot) => {
-                slot.recency = tick;
-                amrviz_obs::counter!("serve.cache_hit", 1);
-                Some(Arc::clone(&slot.entry))
-            }
-            None => {
-                amrviz_obs::counter!("serve.cache_miss", 1);
-                None
-            }
-        }
+        let slot = st.map.get_mut(&key)?;
+        slot.recency = tick;
+        Some(Arc::clone(&slot.entry))
     }
 
     /// Inserts a decoded entry, evicting least-recently-used entries until
@@ -128,7 +120,6 @@ impl ArenaCache {
             }
             let slot = st.map.remove(&victim).expect("victim present");
             st.bytes -= slot.bytes;
-            amrviz_obs::counter!("serve.cache_evicted", 1);
             Self::recycle(&mut st.pool, slot.entry);
         }
         entry

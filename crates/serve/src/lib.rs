@@ -45,7 +45,7 @@ pub use chaos::{ChaosConfig, ChaosProxy};
 pub use client::{exchange, ClientConfig, Exchange, Outcome};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use proto::{Op, Request, RespHeader, Status};
-pub use server::{start, ServeConfig, ServerHandle, StatsSnapshot};
+pub use server::{start, ServeConfig, ServerHandle};
 pub use store::{BlobStore, StoreError};
-pub use telemetry::{ReqTelemetry, StageTimes, STATS_SCHEMA};
+pub use telemetry::{ReqTelemetry, StageTimes, StatsSnapshot, STATS_SCHEMA};
 pub use torture::{ServeTortureConfig, ServeTortureReport};

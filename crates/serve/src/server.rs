@@ -27,7 +27,7 @@ use crate::proto::{
     MAX_REQUEST_FRAME,
 };
 use crate::store::{BlobStore, StoreError};
-use crate::telemetry::{ReqTelemetry, StageTimes};
+use crate::telemetry::{status_outcome, ReqTelemetry, StageTimes, StatsSnapshot};
 use amrviz_codec::DecodeBudget;
 use amrviz_compress::{decompress_hierarchy_field_into, AmrCodecConfig, DecodePolicy};
 use amrviz_obs::slo::SloSpec;
@@ -36,7 +36,7 @@ use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -88,106 +88,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// Monotonic counters shared by all server threads.
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    pub requests: AtomicU64,
-    pub ok: AtomicU64,
-    pub degraded: AtomicU64,
-    pub shed: AtomicU64,
-    pub not_found: AtomicU64,
-    pub corrupt: AtomicU64,
-    pub timeout: AtomicU64,
-    pub bad_request: AtomicU64,
-    pub io_errors: AtomicU64,
-    pub panics: AtomicU64,
-    /// Data frames written at/after their deadline — the invariant counter;
-    /// must be 0.
-    pub post_deadline_responses: AtomicU64,
-    /// Streams cut (no END) because the deadline expired mid-response.
-    pub deadline_aborts: AtomicU64,
-    pub coarse_only: AtomicU64,
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
-}
-
-/// Point-in-time copy of [`ServeStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    pub requests: u64,
-    pub ok: u64,
-    pub degraded: u64,
-    pub shed: u64,
-    pub not_found: u64,
-    pub corrupt: u64,
-    pub timeout: u64,
-    pub bad_request: u64,
-    pub io_errors: u64,
-    pub panics: u64,
-    pub post_deadline_responses: u64,
-    pub deadline_aborts: u64,
-    pub coarse_only: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-}
-
-impl ServeStats {
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            ok: self.ok.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            not_found: self.not_found.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-            timeout: self.timeout.load(Ordering::Relaxed),
-            bad_request: self.bad_request.load(Ordering::Relaxed),
-            io_errors: self.io_errors.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            post_deadline_responses: self.post_deadline_responses.load(Ordering::Relaxed),
-            deadline_aborts: self.deadline_aborts.load(Ordering::Relaxed),
-            coarse_only: self.coarse_only.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl StatsSnapshot {
-    /// One-line JSON for the `SERVE_STATS` stdout marker and CI greps.
-    pub fn to_json_line(&self) -> String {
-        format!(
-            concat!(
-                "{{\"requests\":{},\"ok\":{},\"degraded\":{},\"shed\":{},",
-                "\"not_found\":{},\"corrupt\":{},\"timeout\":{},",
-                "\"bad_request\":{},\"io_errors\":{},\"panics\":{},",
-                "\"post_deadline_responses\":{},\"deadline_aborts\":{},",
-                "\"coarse_only\":{},\"cache_hits\":{},\"cache_misses\":{}}}"
-            ),
-            self.requests,
-            self.ok,
-            self.degraded,
-            self.shed,
-            self.not_found,
-            self.corrupt,
-            self.timeout,
-            self.bad_request,
-            self.io_errors,
-            self.panics,
-            self.post_deadline_responses,
-            self.deadline_aborts,
-            self.coarse_only,
-            self.cache_hits,
-            self.cache_misses,
-        )
-    }
-}
-
 struct Inner {
     cfg: ServeConfig,
     store: BlobStore,
     cache: ArenaCache,
-    stats: ServeStats,
     telemetry: ReqTelemetry,
     stop: AtomicBool,
     /// Admitted connections with their admission timestamp, so queue-wait
@@ -214,7 +118,7 @@ impl ServerHandle {
 
     /// Live stats (threads may still be mutating them).
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats.snapshot()
+        self.inner.telemetry.stats()
     }
 
     /// Begins graceful drain: stop accepting, finish queued work.
@@ -235,7 +139,7 @@ impl ServerHandle {
         for t in self.workers.drain(..) {
             let _ = t.join();
         }
-        let snap = self.inner.stats.snapshot();
+        let snap = self.inner.telemetry.stats();
         // Final SLO verdict as typed journal events, so a run's breach
         // state is on record even if nobody ever polled STATS.
         amrviz_obs::slo::emit_journal(&self.inner.telemetry.slo_report());
@@ -270,10 +174,13 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     let store = BlobStore::open(&cfg.store_dir)
         .map_err(|e| std::io::Error::other(format!("store: {e}")))?;
+    let telemetry = ReqTelemetry::new(cfg.slo.clone());
+    // A running `--metrics-out` writer exposes this server's registry
+    // alongside the global one.
+    amrviz_obs::expose::attach(Arc::clone(telemetry.registry()));
     let inner = Arc::new(Inner {
         cache: ArenaCache::new(cfg.cache_bytes),
-        stats: ServeStats::default(),
-        telemetry: ReqTelemetry::new(cfg.slo.clone()),
+        telemetry,
         stop: AtomicBool::new(false),
         queue: Mutex::new(VecDeque::new()),
         cond: Condvar::new(),
@@ -338,8 +245,7 @@ fn admit(inner: &Inner, mut stream: TcpStream) {
     let mut q = inner.queue.lock().unwrap();
     if q.len() >= inner.cfg.queue_depth.max(1) {
         drop(q);
-        inner.stats.shed.fetch_add(1, Ordering::Relaxed);
-        amrviz_obs::counter!("serve.shed", 1);
+        inner.telemetry.count("serve.shed");
         journal::emit(
             "serve",
             &[
@@ -351,23 +257,7 @@ fn admit(inner: &Inner, mut stream: TcpStream) {
         // Best-effort typed reply from the accept thread (bounded by the
         // socket write timeout). The request frame is never read — shedding
         // must not depend on a possibly-slow client.
-        let header = RespHeader {
-            status: Status::RetryLater,
-            flags: 0,
-            retry_after_ms: inner.cfg.retry_after_ms,
-            n_levels: 0,
-            key: 0,
-        };
-        let _ = proto::write_frame(&mut stream, &header.encode());
-        let _ = proto::write_frame(
-            &mut stream,
-            &EndFrame {
-                status: Status::RetryLater,
-                levels_sent: 0,
-                server_elapsed_us: 0,
-            }
-            .encode(),
-        );
+        write_notification(&mut stream, Status::RetryLater, inner.cfg.retry_after_ms, 0);
         // Shed requests count against availability in the SLO windows.
         inner.telemetry.record(Status::RetryLater, 0, None, 0, 0);
         return;
@@ -402,8 +292,7 @@ fn worker_loop(inner: &Inner) {
             handle_connection(inner, stream, admitted_at)
         }));
         if result.is_err() {
-            inner.stats.panics.fetch_add(1, Ordering::Relaxed);
-            amrviz_obs::counter!("serve.panic", 1);
+            inner.telemetry.count("serve.panics");
             journal::emit(
                 "serve",
                 &[("role", "\"server\"".into()), ("event", "\"panic\"".into())],
@@ -428,7 +317,7 @@ fn write_gated(
     stream: &mut TcpStream,
     payload: &[u8],
     deadline: Instant,
-    stats: &ServeStats,
+    telemetry: &ReqTelemetry,
 ) -> Gated {
     let decided_at = Instant::now();
     if decided_at >= deadline {
@@ -436,9 +325,7 @@ fn write_gated(
     }
     let r = proto::write_frame(stream, payload);
     if decided_at >= deadline {
-        stats
-            .post_deadline_responses
-            .fetch_add(1, Ordering::Relaxed);
+        telemetry.count("serve.post_deadline_responses");
     }
     match r {
         Ok(()) => Gated::Written,
@@ -475,15 +362,15 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
         Ok(Some(p)) => p,
         Ok(None) => return, // peer connected and left
         Err(_) => {
-            inner.stats.io_errors.fetch_add(1, Ordering::Relaxed);
+            inner.telemetry.count("serve.io_errors");
             return;
         }
     };
     let req = match Request::decode(&payload) {
         Ok(r) => r,
         Err(_) => {
-            inner.stats.bad_request.fetch_add(1, Ordering::Relaxed);
-            inner.stats.requests.fetch_add(1, Ordering::Relaxed);
+            inner.telemetry.count("serve.bad_request");
+            inner.telemetry.count("serve.requests");
             write_notification(&mut stream, Status::BadRequest, 0, 0);
             return;
         }
@@ -494,8 +381,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
         trace: req.trace,
         sampled: true,
     });
-    inner.stats.requests.fetch_add(1, Ordering::Relaxed);
-    amrviz_obs::counter!("serve.requests", 1);
+    inner.telemetry.count("serve.requests");
     let t0 = Instant::now();
     let (status, levels_sent, flags, stages) = match req.op {
         Op::Ping => {
@@ -517,17 +403,9 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
         }
     };
     let elapsed_us = t0.elapsed().as_micros() as u64;
-    match status {
-        Status::Ok => inner.stats.ok.fetch_add(1, Ordering::Relaxed),
-        Status::Degraded => inner.stats.degraded.fetch_add(1, Ordering::Relaxed),
-        Status::NotFound => inner.stats.not_found.fetch_add(1, Ordering::Relaxed),
-        Status::Corrupt => inner.stats.corrupt.fetch_add(1, Ordering::Relaxed),
-        Status::Timeout => inner.stats.timeout.fetch_add(1, Ordering::Relaxed),
-        Status::BadRequest => inner.stats.bad_request.fetch_add(1, Ordering::Relaxed),
-        Status::Internal => inner.stats.io_errors.fetch_add(1, Ordering::Relaxed),
-        Status::RetryLater | Status::ShuttingDown => 0,
-    };
-    amrviz_obs::histogram!("serve.latency_us", elapsed_us as f64);
+    if let Some(outcome) = status_outcome(status) {
+        inner.telemetry.count(outcome);
+    }
     // STATS polls are monitoring traffic: answered, counted in `requests`,
     // but excluded from the SLO latency/availability windows so watching
     // the server never moves its own objectives.
@@ -559,7 +437,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
 fn serve_stats(inner: &Inner, stream: &mut TcpStream, t0: Instant) -> Status {
     let (cache_entries, cache_bytes) = inner.cache.stats();
     let queue_depth = inner.queue.lock().unwrap().len();
-    let snap = inner.stats.snapshot();
+    let snap = inner.telemetry.stats();
     let json = inner.telemetry.snapshot_json(
         &snap,
         queue_depth,
@@ -589,7 +467,7 @@ fn serve_stats(inner: &Inner, stream: &mut TcpStream, t0: Instant) -> Status {
         .encode(),
     ] {
         if proto::write_frame(stream, &payload).is_err() {
-            inner.stats.io_errors.fetch_add(1, Ordering::Relaxed);
+            inner.telemetry.count("serve.io_errors");
             return Status::Internal;
         }
     }
@@ -618,14 +496,14 @@ fn serve_list(
         key: 0,
     };
     for payload in [header.encode(), proto::encode_keys_frame(&keys)] {
-        match write_gated(stream, &payload, deadline, &inner.stats) {
+        match write_gated(stream, &payload, deadline, &inner.telemetry) {
             Gated::Written => {}
             Gated::Expired => {
-                inner.stats.deadline_aborts.fetch_add(1, Ordering::Relaxed);
+                inner.telemetry.count("serve.deadline_aborts");
                 return (Status::Timeout, 0, 0);
             }
             Gated::Io => {
-                inner.stats.io_errors.fetch_add(1, Ordering::Relaxed);
+                inner.telemetry.count("serve.io_errors");
                 return (Status::Internal, 0, 0);
             }
         }
@@ -655,12 +533,12 @@ fn lookup_or_decode(
     st: &mut StageTimes,
 ) -> Result<Arc<DecodedEntry>, Status> {
     if let Some(entry) = inner.cache.get(key) {
-        inner.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+        inner.telemetry.count("serve.cache_hits");
         // Cache hit: the read/validate/decode stages never ran; their
         // absence in the breakdown is the "warm cache" signal.
         return Ok(entry);
     }
-    inner.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
+    inner.telemetry.count("serve.cache_misses");
     let stage_t = Instant::now();
     let bytes = match inner.store.get(key) {
         Ok(b) => b,
@@ -750,7 +628,7 @@ fn serve_get(
     };
     let n_levels = if remaining < total.mul_f64(inner.cfg.coarse_only_frac) {
         flags |= FLAG_COARSE_ONLY;
-        inner.stats.coarse_only.fetch_add(1, Ordering::Relaxed);
+        inner.telemetry.count("serve.coarse_only");
         1
     } else {
         want
@@ -768,18 +646,18 @@ fn serve_get(
         key: req.key,
     };
     let write_t = Instant::now();
-    let gated = write_gated(stream, &header.encode(), deadline, &inner.stats);
+    let gated = write_gated(stream, &header.encode(), deadline, &inner.telemetry);
     st.add_write(write_t.elapsed().as_micros() as u64);
     match gated {
         Gated::Written => {}
         Gated::Expired => {
             // Nothing sent yet: a typed Timeout is still possible.
-            inner.stats.deadline_aborts.fetch_add(1, Ordering::Relaxed);
+            inner.telemetry.count("serve.deadline_aborts");
             write_notification(stream, Status::Timeout, inner.cfg.retry_after_ms, req.key);
             return (Status::Timeout, 0, 0);
         }
         Gated::Io => {
-            inner.stats.io_errors.fetch_add(1, Ordering::Relaxed);
+            inner.telemetry.count("serve.io_errors");
             return (Status::Internal, 0, 0);
         }
     }
@@ -787,19 +665,18 @@ fn serve_get(
     for lev in 0..n_levels {
         let frame = proto::encode_level_frame(lev, entry.degraded_fabs[lev], &entry.levels[lev]);
         let write_t = Instant::now();
-        let gated = write_gated(stream, &frame, deadline, &inner.stats);
+        let gated = write_gated(stream, &frame, deadline, &inner.telemetry);
         st.add_write(write_t.elapsed().as_micros() as u64);
         match gated {
             Gated::Written => sent += 1,
             Gated::Expired => {
                 // Mid-stream expiry: cut WITHOUT the END frame. The prefix
                 // the client holds is a valid progressive result.
-                inner.stats.deadline_aborts.fetch_add(1, Ordering::Relaxed);
-                amrviz_obs::counter!("serve.deadline_abort", 1);
+                inner.telemetry.count("serve.deadline_aborts");
                 return (Status::Timeout, sent, flags);
             }
             Gated::Io => {
-                inner.stats.io_errors.fetch_add(1, Ordering::Relaxed);
+                inner.telemetry.count("serve.io_errors");
                 return (Status::Internal, sent, flags);
             }
         }
@@ -810,16 +687,16 @@ fn serve_get(
         server_elapsed_us: t0.elapsed().as_micros() as u64,
     };
     let write_t = Instant::now();
-    let gated = write_gated(stream, &end.encode(), deadline, &inner.stats);
+    let gated = write_gated(stream, &end.encode(), deadline, &inner.telemetry);
     st.add_write(write_t.elapsed().as_micros() as u64);
     match gated {
         Gated::Written => (status, sent, flags),
         Gated::Expired => {
-            inner.stats.deadline_aborts.fetch_add(1, Ordering::Relaxed);
+            inner.telemetry.count("serve.deadline_aborts");
             (Status::Timeout, sent, flags)
         }
         Gated::Io => {
-            inner.stats.io_errors.fetch_add(1, Ordering::Relaxed);
+            inner.telemetry.count("serve.io_errors");
             (Status::Internal, sent, flags)
         }
     }

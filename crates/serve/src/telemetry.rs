@@ -1,24 +1,24 @@
-//! Request-centric serve telemetry: per-status windowed latency, stage
-//! timing breakdowns, tail exemplars, and the in-band STATS snapshot.
+//! Request-centric serve telemetry: outcome counters, per-status windowed
+//! latency, stage timing breakdowns, tail exemplars, and the in-band STATS
+//! snapshot.
 //!
-//! The server answers `Op::Stats` from this module alone — it is
-//! deliberately independent of the global obs recorder's enable state, so
-//! an operator gets live telemetry even from a server started without
-//! `--journal`/`--metrics-out`. (When the recorder *is* enabled, the same
-//! samples are mirrored into it so Prometheus exposition sees them too.)
-//!
-//! Ring geometry is private to serving: 720 slots × 5 s = one hour of
-//! coverage, enough for the 1 h SLO burn window, regardless of how the
-//! global recorder's window is configured.
+//! Each server owns exactly one [`Registry`] (720 slots × 5 s = one hour
+//! of coverage, enough for the 1 h SLO burn window) that always records,
+//! whatever the global obs recorder's enable state — an operator gets
+//! live telemetry even from a server started without
+//! `--journal`/`--metrics-out`. Every view reads that one registry: the
+//! STATS snapshot, the `SERVE_STATS` line and the `drain` journal event
+//! (through [`StatsSnapshot`]), the SLO burn windows, and — attached to
+//! the `--metrics-out` writer — the JSON and Prometheus exposition.
 
 use crate::proto::{Status, PROTO_VERSION};
-use crate::server::StatsSnapshot;
 use amrviz_obs::exemplar::{Exemplar, Reservoir};
 use amrviz_obs::expose::hist_stats_json;
 use amrviz_obs::slo::{evaluate, SloReport, SloSpec, WindowReading};
-use amrviz_obs::window::WindowedHistogram;
-use std::sync::Mutex;
-use std::time::Instant;
+use amrviz_obs::Registry;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// STATS snapshot schema identifier.
 pub const STATS_SCHEMA: &str = "amrviz-serve-stats-v1";
@@ -43,6 +43,36 @@ pub const STAGE_NAMES: [&str; 5] = [
     "structure_validate",
     "decode",
     "write",
+];
+
+/// Per status, in code order: its latency histogram and the outcome
+/// counter a finished request with that status bumps.
+const STATUS_METRICS: [(&str, Option<&str>); 9] = [
+    ("serve.latency_us.ok", Some("serve.ok")),
+    ("serve.latency_us.degraded", Some("serve.degraded")),
+    ("serve.latency_us.retry_later", None),
+    ("serve.latency_us.not_found", Some("serve.not_found")),
+    ("serve.latency_us.corrupt", Some("serve.corrupt")),
+    ("serve.latency_us.timeout", Some("serve.timeout")),
+    ("serve.latency_us.bad_request", Some("serve.bad_request")),
+    ("serve.latency_us.shutting_down", None),
+    ("serve.latency_us.internal", Some("serve.io_errors")),
+];
+
+/// Every status with its latency histogram name, in code order.
+fn statuses() -> impl Iterator<Item = (Status, &'static str)> {
+    (0u8..)
+        .map_while(Status::from_code)
+        .zip(STATUS_METRICS.map(|(latency, _)| latency))
+}
+
+/// Stage histogram names, in [`STAGE_NAMES`] order.
+const STAGE_METRICS: [&str; 5] = [
+    "serve.stage.queue_wait_us",
+    "serve.stage.store_read_us",
+    "serve.stage.structure_validate_us",
+    "serve.stage.decode_us",
+    "serve.stage.write_us",
 ];
 
 /// Statuses counted as *good* for availability: the client got usable data.
@@ -77,6 +107,11 @@ pub struct StageTimes {
 impl StageTimes {
     /// Present stages as `(name, us)` pairs in [`STAGE_NAMES`] order.
     pub fn as_pairs(&self) -> Vec<(&'static str, u64)> {
+        self.present(STAGE_NAMES)
+    }
+
+    /// The present stages' values paired with `names[stage index]`.
+    fn present(&self, names: [&'static str; 5]) -> Vec<(&'static str, u64)> {
         [
             self.queue_wait_us,
             self.store_read_us,
@@ -85,7 +120,7 @@ impl StageTimes {
             self.write_us,
         ]
         .iter()
-        .zip(STAGE_NAMES)
+        .zip(names)
         .filter_map(|(v, name)| v.map(|us| (name, us)))
         .collect()
     }
@@ -109,60 +144,105 @@ impl StageTimes {
     }
 }
 
-/// The server's request telemetry: windowed per-status latency, windowed
-/// per-stage timings, and the tail-exemplar reservoir. One instance per
-/// server, shared by all workers.
+/// Declares the outcome counters once: the [`StatsSnapshot`] fields,
+/// their registry names (`serve.<field>`, in [`OUTCOMES`]) and the key
+/// order of the STATS `requests` object all follow this list.
+macro_rules! outcomes {
+    ($($(#[$doc:meta])* $field:ident),* $(,)?) => {
+        /// Outcome counter names, in STATS `requests` key order.
+        pub const OUTCOMES: &[&str] = &[$(concat!("serve.", stringify!($field))),*];
+
+        /// Point-in-time read of the [`OUTCOMES`] counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl StatsSnapshot {
+            /// Reads the outcome counters out of a lifetime counter map;
+            /// absent counters read 0.
+            fn from_counters(counters: &BTreeMap<&'static str, u64>) -> StatsSnapshot {
+                let read = |name| counters.get(name).copied().unwrap_or(0);
+                StatsSnapshot {
+                    $($field: read(concat!("serve.", stringify!($field))),)*
+                }
+            }
+
+            /// One-line JSON for the `SERVE_STATS` stdout marker and CI
+            /// greps.
+            pub fn to_json_line(&self) -> String {
+                let fields = [$(format!(concat!("\"", stringify!($field), "\":{}"), self.$field)),*];
+                format!("{{{}}}", fields.join(","))
+            }
+        }
+    };
+}
+
+outcomes!(
+    requests,
+    ok,
+    degraded,
+    shed,
+    not_found,
+    corrupt,
+    timeout,
+    bad_request,
+    io_errors,
+    panics,
+    /// Data frames written at/after their deadline — the invariant
+    /// counter; must be 0.
+    post_deadline_responses,
+    /// Streams cut (no END) because the deadline expired mid-response.
+    deadline_aborts,
+    coarse_only,
+    cache_hits,
+    cache_misses,
+);
+
+/// The outcome counter a finished request's status bumps, if any.
+pub(crate) fn status_outcome(status: Status) -> Option<&'static str> {
+    STATUS_METRICS[status.code() as usize].1
+}
+
+/// The server's request telemetry: its metric registry (outcome counters,
+/// per-status latency and per-stage timing histograms) plus the
+/// tail-exemplar reservoir. One instance per server, shared by all
+/// workers.
 pub struct ReqTelemetry {
-    started: Instant,
-    /// Latency histograms indexed by `Status::code()`.
-    latency: Mutex<Vec<WindowedHistogram>>,
-    /// Stage histograms indexed by [`STAGE_NAMES`] position.
-    stages: Mutex<Vec<WindowedHistogram>>,
+    registry: Arc<Registry>,
     exemplars: Mutex<Reservoir>,
     spec: SloSpec,
 }
 
-/// Number of `Status` variants (codes 0..N_STATUS are all valid).
-const N_STATUS: usize = 9;
-
 impl ReqTelemetry {
     pub fn new(spec: SloSpec) -> Self {
         ReqTelemetry {
-            started: Instant::now(),
-            latency: Mutex::new(
-                (0..N_STATUS)
-                    .map(|_| WindowedHistogram::with_slots(SLOTS))
-                    .collect(),
-            ),
-            stages: Mutex::new(
-                (0..STAGE_NAMES.len())
-                    .map(|_| WindowedHistogram::with_slots(SLOTS))
-                    .collect(),
-            ),
+            registry: Arc::new(Registry::new(Duration::from_secs(SLOT_SECS), SLOTS)),
             exemplars: Mutex::new(Reservoir::new(EXEMPLAR_CAP)),
             spec,
         }
     }
 
-    /// Declared SLO.
-    pub fn spec(&self) -> &SloSpec {
-        &self.spec
+    /// The registry every view renders from.
+    pub(crate) fn registry(&self) -> &Arc<Registry> {
+        &self.registry
     }
 
-    /// Milliseconds since the server started.
-    pub fn uptime_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
+    /// Adds one to the named [`OUTCOMES`] counter.
+    pub(crate) fn count(&self, outcome: &'static str) {
+        debug_assert!(OUTCOMES.contains(&outcome), "unknown outcome {outcome}");
+        self.registry.counter_add(outcome, 1);
     }
 
-    /// Current telemetry slot id.
-    fn now_slot(&self) -> u64 {
-        self.started.elapsed().as_secs() / SLOT_SECS
+    /// Lifetime outcome counters.
+    pub fn stats(&self) -> StatsSnapshot {
+        StatsSnapshot::from_counters(&self.registry.counters_snapshot())
     }
 
-    /// Records one finished request. `stages` is `None` for ops with no
-    /// stage breakdown (ping/list/shed). Mirrored into the global recorder
-    /// when it is enabled, so `--metrics-out` exposition sees the same
-    /// samples.
+    /// Records one finished request into the latency and stage histograms
+    /// and the exemplar reservoir (the server bumps outcome counters
+    /// separately). `stages` is `None` for ops with no stage breakdown
+    /// (ping/list/shed).
     pub fn record(
         &self,
         status: Status,
@@ -171,7 +251,14 @@ impl ReqTelemetry {
         trace: u64,
         key: u64,
     ) {
-        self.record_at(self.now_slot(), status, total_us, stages, trace, key);
+        self.record_at(
+            self.registry.now_slot(),
+            status,
+            total_us,
+            stages,
+            trace,
+            key,
+        );
     }
 
     /// [`ReqTelemetry::record`] with an explicit slot id — the
@@ -185,20 +272,12 @@ impl ReqTelemetry {
         trace: u64,
         key: u64,
     ) {
-        self.latency.lock().unwrap()[status.code() as usize].record(slot, total_us);
+        let reg = &self.registry;
+        let latency = STATUS_METRICS[status.code() as usize].0;
+        reg.histogram_record_at(slot, latency, total_us);
         if let Some(st) = stages {
-            let mut hs = self.stages.lock().unwrap();
-            for (name, us) in st.as_pairs() {
-                let idx = STAGE_NAMES.iter().position(|n| *n == name).unwrap();
-                hs[idx].record(slot, us);
-            }
-        }
-        if amrviz_obs::is_enabled() {
-            amrviz_obs::histogram_record(status_hist_name(status), total_us);
-            if let Some(st) = stages {
-                for (name, us) in st.as_pairs() {
-                    amrviz_obs::histogram_record(stage_hist_name(name), us);
-                }
+            for (name, us) in st.present(STAGE_METRICS) {
+                reg.histogram_record_at(slot, name, us);
             }
         }
         // Tail reservoir: only requests that carried a stage breakdown
@@ -222,32 +301,29 @@ impl ReqTelemetry {
 
     /// Multi-window SLO evaluation over the recorded request stream.
     pub fn slo_report(&self) -> SloReport {
-        self.slo_report_at(self.now_slot())
+        self.slo_report_at(self.registry.now_slot())
     }
 
     /// [`ReqTelemetry::slo_report`] at an explicit slot (tests).
     pub fn slo_report_at(&self, now_slot: u64) -> SloReport {
-        let lat = self.latency.lock().unwrap();
         let mut readings = Vec::new();
         for (label, secs) in WINDOWS {
-            let k = (secs / SLOT_SECS).max(1);
+            let hists = self
+                .registry
+                .histograms_window_at(now_slot, secs / SLOT_SECS);
             let mut good = 0u64;
             let mut total = 0u64;
             let mut merged = amrviz_obs::hist::Histogram::new();
-            for (code, h) in lat.iter().enumerate() {
-                let Some(status) = Status::from_code(code as u8) else {
+            for (status, name) in statuses().filter(|(s, _)| slo_counts(*s)) {
+                let Some(w) = hists.get(name) else {
                     continue;
                 };
-                if !slo_counts(status) {
-                    continue;
-                }
-                let w = h.window_merged(now_slot, k);
                 let n = w.count();
                 total += n;
                 if is_good(status) {
                     good += n;
                 }
-                merged.merge(&w);
+                merged.merge(w);
             }
             readings.push(WindowReading::from_histogram(
                 label, secs, good, total, &merged,
@@ -256,9 +332,9 @@ impl ReqTelemetry {
         evaluate(&self.spec, &readings)
     }
 
-    /// The versioned STATS snapshot. `snap` and the cache numbers come from
-    /// the server (they live outside this module); everything windowed
-    /// comes from the telemetry rings.
+    /// The versioned STATS snapshot. `snap` is a [`ReqTelemetry::stats`]
+    /// read and the queue and cache numbers come from the server; the
+    /// histograms come from the registry.
     pub fn snapshot_json(
         &self,
         snap: &StatsSnapshot,
@@ -268,9 +344,27 @@ impl ReqTelemetry {
         cache_bytes: usize,
         cache_budget_bytes: usize,
     ) -> String {
-        let now_slot = self.now_slot();
+        let now_slot = self.registry.now_slot();
         let slo = self.slo_report_at(now_slot);
-        let w5m = (WINDOWS[0].1 / SLOT_SECS).max(1);
+        let lifetime = self.registry.histograms_snapshot();
+        let w5m = self
+            .registry
+            .histograms_window_at(now_slot, WINDOWS[0].1 / SLOT_SECS);
+        // Lifetime + trailing-5m views of each `(key, metric)` that has
+        // samples.
+        let section = |pairs: &[(&str, &str)]| {
+            let entries: Vec<String> = pairs
+                .iter()
+                .filter_map(|(key, name)| {
+                    Some(format!(
+                        "\"{key}\":{{\"lifetime\":{},\"w5m\":{}}}",
+                        hist_stats_json(lifetime.get(name)?),
+                        hist_stats_json(&w5m.get(name).cloned().unwrap_or_default()),
+                    ))
+                })
+                .collect();
+            format!("{{{}}}", entries.join(","))
+        };
 
         // Health verdict: invariant violations or an SLO breach degrade it.
         let health = if snap.panics > 0 || snap.post_deadline_responses > 0 || slo.breached() {
@@ -282,7 +376,7 @@ impl ReqTelemetry {
         let mut out = format!(
             "{{\"schema\":\"{STATS_SCHEMA}\",\"proto_version\":{PROTO_VERSION},\
              \"uptime_ms\":{},\"health\":\"{health}\"",
-            self.uptime_ms()
+            self.registry.elapsed_ns() / 1_000_000
         );
         out.push_str(&format!(",\"requests\":{}", snap.to_json_line()));
         out.push_str(&format!(
@@ -294,54 +388,11 @@ impl ReqTelemetry {
             snap.cache_hits, snap.cache_misses
         ));
 
-        // Per-status latency: lifetime + trailing-5m views, nonzero only.
-        out.push_str(",\"latency_us\":{");
-        {
-            let lat = self.latency.lock().unwrap();
-            let mut first = true;
-            for (code, h) in lat.iter().enumerate() {
-                if h.lifetime.count() == 0 {
-                    continue;
-                }
-                let Some(status) = Status::from_code(code as u8) else {
-                    continue;
-                };
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!(
-                    "\"{}\":{{\"lifetime\":{},\"w5m\":{}}}",
-                    status.name(),
-                    hist_stats_json(&h.lifetime),
-                    hist_stats_json(&h.window_merged(now_slot, w5m)),
-                ));
-            }
-        }
-        out.push('}');
-
-        // Per-stage timing: same shape, keyed by the stage taxonomy.
-        out.push_str(",\"stages_us\":{");
-        {
-            let hs = self.stages.lock().unwrap();
-            let mut first = true;
-            for (idx, h) in hs.iter().enumerate() {
-                if h.lifetime.count() == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!(
-                    "\"{}\":{{\"lifetime\":{},\"w5m\":{}}}",
-                    STAGE_NAMES[idx],
-                    hist_stats_json(&h.lifetime),
-                    hist_stats_json(&h.window_merged(now_slot, w5m)),
-                ));
-            }
-        }
-        out.push('}');
+        // Per-status latency and per-stage timing, nonzero only.
+        let latency: Vec<_> = statuses().map(|(s, m)| (s.name(), m)).collect();
+        let stages: Vec<_> = STAGE_NAMES.into_iter().zip(STAGE_METRICS).collect();
+        out.push_str(&format!(",\"latency_us\":{}", section(&latency)));
+        out.push_str(&format!(",\"stages_us\":{}", section(&stages)));
 
         out.push_str(&format!(",\"slo\":{}", slo.to_json()));
         out.push_str(&format!(
@@ -349,30 +400,6 @@ impl ReqTelemetry {
             self.exemplars.lock().unwrap().to_json()
         ));
         out
-    }
-}
-
-fn status_hist_name(status: Status) -> &'static str {
-    match status {
-        Status::Ok => "serve.latency_us.ok",
-        Status::Degraded => "serve.latency_us.degraded",
-        Status::RetryLater => "serve.latency_us.retry_later",
-        Status::NotFound => "serve.latency_us.not_found",
-        Status::Corrupt => "serve.latency_us.corrupt",
-        Status::Timeout => "serve.latency_us.timeout",
-        Status::BadRequest => "serve.latency_us.bad_request",
-        Status::ShuttingDown => "serve.latency_us.shutting_down",
-        Status::Internal => "serve.latency_us.internal",
-    }
-}
-
-fn stage_hist_name(stage: &str) -> &'static str {
-    match stage {
-        "queue_wait" => "serve.stage.queue_wait_us",
-        "store_read" => "serve.stage.store_read_us",
-        "structure_validate" => "serve.stage.structure_validate_us",
-        "decode" => "serve.stage.decode_us",
-        _ => "serve.stage.write_us",
     }
 }
 

@@ -27,8 +27,9 @@ use crate::artifact::encode_artifact;
 use crate::chaos::{ChaosConfig, ChaosProxy};
 use crate::client::{exchange, ClientConfig, Outcome};
 use crate::proto::{Op, Request, FLAG_DEGRADED};
-use crate::server::{start, ServeConfig, StatsSnapshot};
+use crate::server::{start, ServeConfig};
 use crate::store::BlobStore;
+use crate::telemetry::StatsSnapshot;
 use amrviz_compress::{compress_hierarchy_field, AmrCodecConfig, ErrorBound, SzLr};
 use amrviz_obs::mem;
 use amrviz_rng::Rng;

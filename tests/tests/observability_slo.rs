@@ -19,7 +19,7 @@ fn windowed_snapshot_across_rotation_under_concurrent_writers() {
     const WRITERS: usize = 8;
     const PER_WRITER: u64 = 500;
     // Tiny ring so the recording range (slots 0..=11 below) actually wraps.
-    let h = Mutex::new(WindowedHistogram::with_slots(8));
+    let h = Mutex::new(WindowedHistogram::new(8));
     std::thread::scope(|s| {
         for w in 0..WRITERS {
             let h = &h;

@@ -203,30 +203,25 @@ fn head_sampling_keeps_or_drops_whole_traces() {
 
 #[test]
 fn windowed_counters_age_out_but_lifetime_survives() {
-    let _g = lock();
-    amrviz_obs::reset();
-    amrviz_obs::enable();
     // 50 ms slots x 4 -> 200 ms coverage; generous sleeps below keep this
-    // robust on slow CI machines.
-    amrviz_obs::window::set_window(0.05, 4);
-    amrviz_obs::counter_add("telemetry.test_hits", 5);
-    let fresh = amrviz_obs::counters_window_snapshot(10.0);
+    // robust on slow CI machines. Window geometry is fixed per registry,
+    // so the test owns one instead of reconfiguring the global recorder.
+    let reg = amrviz_obs::Registry::new(std::time::Duration::from_millis(50), 4);
+    reg.counter_add("telemetry.test_hits", 5);
+    let fresh = reg.counters_window_snapshot(10.0);
     assert_eq!(fresh.get("telemetry.test_hits"), Some(&5));
 
     std::thread::sleep(std::time::Duration::from_millis(400));
-    let aged = amrviz_obs::counters_window_snapshot(10.0);
+    let aged = reg.counters_window_snapshot(10.0);
     assert_eq!(
         aged.get("telemetry.test_hits"),
         None,
         "window total must age out after coverage elapses"
     );
-    let lifetime = amrviz_obs::counters_snapshot();
+    let lifetime = reg.counters_snapshot();
     assert_eq!(
         lifetime.get("telemetry.test_hits"),
         Some(&5),
         "lifetime total must survive rotation"
     );
-    amrviz_obs::window::set_window(5.0, 12);
-    amrviz_obs::disable();
-    amrviz_obs::reset();
 }
