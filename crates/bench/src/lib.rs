@@ -1,17 +1,14 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! The interesting artifacts are produced by the `repro` binary
-//! (`cargo run --release -p amrviz-bench --bin repro -- all`), which prints
-//! the paper's tables/series and writes rendered figures. The criterion
-//! benches in `benches/` time the computational kernels behind each
-//! experiment at a small, fixed scale.
+//! The interesting artifacts are produced by [`repro`] (run as
+//! `amrviz repro all`), which prints the paper's tables/series and writes
+//! rendered figures. [`harness`] backs `amrviz bench`: the pinned
+//! kernel-timing matrix with `BENCH_*.json` output and baseline gating.
 
 use amrviz_core::prelude::*;
 
 pub mod harness;
-
-/// The error bounds Table 2 sweeps.
-pub const TABLE2_EBS: [f64; 3] = [1e-4, 1e-3, 1e-2];
+pub mod repro;
 
 /// The error bounds the rate-distortion figures sweep.
 pub const RD_EBS: [f64; 6] = [1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2];

@@ -1,11 +1,9 @@
-//! `repro` — regenerates every table and figure of the paper.
+//! The paper's experiments: regenerates every table and figure. Run
+//! through the CLI as `amrviz repro`.
 //!
 //! ```text
-//! repro <experiment> [--scale tiny|small|medium|paper] [--seed N] [--out DIR]
-//!                    [--threads N] [--flame FILE] [--journal FILE]
-//!                    [--metrics-out FILE] [--metrics-interval SECS]
-//!                    [--trace-sample N]
-//! repro --suite enumerated[:RECIPE] [--seed N] [--out DIR] [--threads N] …
+//! amrviz repro <experiment> [--scale tiny|small|medium|paper] [--seed N] [--out DIR]
+//! amrviz repro --suite enumerated[:RECIPE] [--seed N] [--out DIR]
 //!
 //! experiments:
 //!   table1   dataset structure (grid sizes, per-level densities)
@@ -31,13 +29,14 @@
 //! ```
 //!
 //! Results print as ASCII tables; renders and machine-readable JSON land in
-//! `--out` (default `repro_out/`).
+//! `--out` (default `repro_out/`). The global observability flags
+//! (`--threads`, `--flame`, `--journal`, …) come from the CLI like on every
+//! other command.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
 
-use amrviz_bench::{fig14_series, step_roughness, RD_EBS};
+use crate::{fig14_series, step_roughness, RD_EBS};
 use amrviz_compress::{
     compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, ErrorBound,
 };
@@ -48,121 +47,6 @@ use amrviz_json::{Json, ToJson};
 use amrviz_render::{render_slice, Color, RenderOptions, SliceOptions};
 use amrviz_sim::solver::{AmrAdvection, FIELD};
 use amrviz_viz::extract_amr_isosurface;
-
-struct Args {
-    experiment: String,
-    /// `--suite enumerated[:RECIPE]` — recipe source for the enumerated
-    /// suite (resolved to recipe text; replaces the figure experiments).
-    suite: Option<String>,
-    scale: Scale,
-    seed: u64,
-    out: PathBuf,
-    flame: Option<PathBuf>,
-    journal: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-    metrics_interval: f64,
-    trace_sample: u64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let mut experiment = None;
-    let mut suite = None;
-    let mut scale = Scale::Medium;
-    let mut seed = 42u64;
-    let mut out = PathBuf::from("repro_out");
-    let mut flame = None;
-    let mut journal = None;
-    let mut metrics_out = None;
-    let mut metrics_interval = 5.0f64;
-    let mut trace_sample = 1u64;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => {
-                let v = args.next().ok_or("--scale needs a value")?;
-                scale = Scale::parse(&v).ok_or(format!("unknown scale: {v}"))?;
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--suite" => {
-                let v = args.next().ok_or("--suite needs a value")?;
-                suite = Some(resolve_suite(&v)?);
-            }
-            "--out" => out = PathBuf::from(args.next().ok_or("--out needs a value")?),
-            "--flame" => {
-                flame = Some(PathBuf::from(args.next().ok_or("--flame needs a value")?));
-            }
-            "--journal" => {
-                journal = Some(PathBuf::from(args.next().ok_or("--journal needs a value")?));
-            }
-            "--metrics-out" => {
-                metrics_out = Some(PathBuf::from(
-                    args.next().ok_or("--metrics-out needs a value")?,
-                ));
-            }
-            "--metrics-interval" => {
-                metrics_interval = args
-                    .next()
-                    .ok_or("--metrics-interval needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad metrics interval: {e}"))?;
-                if !metrics_interval.is_finite() || metrics_interval <= 0.0 {
-                    return Err("--metrics-interval must be a positive number".to_string());
-                }
-            }
-            "--trace-sample" => {
-                trace_sample = args
-                    .next()
-                    .ok_or("--trace-sample needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad trace sample: {e}"))?;
-                if trace_sample == 0 {
-                    return Err("--trace-sample must be at least 1 (keep every Nth trace)".into());
-                }
-            }
-            "--threads" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad thread count: {e}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                amrviz_par::set_threads(n);
-            }
-            other if experiment.is_none() && !other.starts_with('-') => {
-                experiment = Some(other.to_string());
-            }
-            other => return Err(format!("unexpected argument: {other}")),
-        }
-    }
-    if suite.is_some() && experiment.is_some() {
-        return Err("--suite replaces the experiment name; pass one or the other".into());
-    }
-    let experiment = match (&suite, experiment) {
-        (Some(_), None) => "enumerated".to_string(),
-        (None, e) => e.ok_or("missing experiment name (try `all`)")?,
-        _ => unreachable!(),
-    };
-    Ok(Args {
-        experiment,
-        suite,
-        scale,
-        seed,
-        out,
-        flame,
-        journal,
-        metrics_out,
-        metrics_interval,
-        trace_sample,
-    })
-}
 
 /// Resolves a `--suite` value to recipe text: `enumerated` is the
 /// built-in suite, `enumerated:@FILE` reads a recipe file, and
@@ -200,10 +84,6 @@ struct Ctx {
     experiments: Vec<Json>,
     /// (ok, degraded, failed) fab decode totals across all experiments.
     decode_fabs: (u64, u64, u64),
-    /// When `--flame` is given, span events accumulated across experiments
-    /// (each experiment resets the recorder, so they're drained here).
-    flame: Option<PathBuf>,
-    flame_events: Vec<amrviz_obs::SpanEvent>,
 }
 
 impl Ctx {
@@ -224,13 +104,13 @@ impl Ctx {
         self.json.set(key, value.to_json());
     }
 
-    /// Drains the obs recorder into `manifest_<name>.json` and folds the
-    /// top-level stage times into the invocation-wide totals.
-    fn finish_experiment(&mut self, name: &str) {
-        if self.flame.is_some() {
-            self.flame_events.extend(amrviz_obs::events_snapshot());
-        }
-        let summary = amrviz_obs::summary::collect();
+    /// Writes the metrics and the spans that started at or after
+    /// `start_ns` into `manifest_<name>.json` and folds the top-level stage
+    /// times into the invocation-wide totals.
+    fn finish_experiment(&mut self, name: &str, start_ns: u64) {
+        let mut events = amrviz_obs::events_snapshot();
+        events.retain(|e| e.start_ns >= start_ns);
+        let summary = amrviz_obs::summary::build(&events);
         for r in &summary.roots {
             *self.stage_seconds.entry(r.key.clone()).or_insert(0.0) += r.seconds;
         }
@@ -636,7 +516,7 @@ fn ablation(ctx: &mut Ctx) {
 /// the compression-quality matrix over every one of them. Each run row
 /// (table and summary.jsonl) carries the scenario's canonical recipe
 /// string, so any row reproduces with
-/// `repro --suite "enumerated:<recipe>" --seed <seed>`.
+/// `amrviz repro --suite "enumerated:<recipe>" --seed <seed>`.
 fn enumerated(ctx: &mut Ctx, recipe_src: &str) {
     println!("\n=== Enumerated suite: recipe-expanded scenario matrix ===");
     let exp = match amrviz_recipe::expand(recipe_src, ctx.seed) {
@@ -666,78 +546,71 @@ fn enumerated(ctx: &mut Ctx, recipe_src: &str) {
     ctx.record("enumerated", &all);
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!(
-                "error: {e}\nusage: repro <experiment> [--scale S] [--seed N] [--out DIR] \
-                 [--threads N] [--flame FILE] [--journal FILE] [--metrics-out FILE] \
-                 [--metrics-interval SECS] [--trace-sample N]\n\
-                 or:    repro --suite enumerated[:RECIPE] [--seed N] [--out DIR] [--threads N]"
-            );
-            return ExitCode::FAILURE;
+/// What [`run`] executes.
+pub enum Target<'a> {
+    /// One experiment by name (see the module docs), or `all`.
+    Experiment(&'a str),
+    /// A `--suite` value: `enumerated`, `enumerated:@FILE` or
+    /// `enumerated:(scenario …)`.
+    Suite(&'a str),
+}
+
+const EXPERIMENTS: [&str; 12] = [
+    "table1", "table2", "fig1", "fig2", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
+    "ablation", "all",
+];
+
+/// Runs `target` at `scale`/`seed`, writing renders, manifests,
+/// `results.json` and `summary.jsonl` under `out`, prints the `SUMMARY`
+/// line and returns its JSON. A failed experiment is recorded in the
+/// summary's `experiments` list (`"status":"failed"`) rather than returned
+/// as an error; `Err` is only for a target that cannot start.
+pub fn run(target: Target, scale: Scale, seed: u64, out: &Path) -> Result<Json, String> {
+    let (exp, suite) = match target {
+        Target::Experiment(e) if EXPERIMENTS.contains(&e) => (e, None),
+        Target::Experiment(e) => {
+            return Err(format!(
+                "unknown experiment `{e}`; known: {EXPERIMENTS:?} (or --suite enumerated)"
+            ))
         }
+        Target::Suite(v) => ("enumerated", Some(resolve_suite(v)?)),
     };
-    std::fs::create_dir_all(&args.out).ok();
+    std::fs::create_dir_all(out).ok();
     // Merge into any existing results.json so partial re-runs (e.g.
-    // `repro fig9` after `repro all`) keep the other experiments' records.
-    let existing = std::fs::read_to_string(args.out.join("results.json"))
+    // `amrviz repro fig9` after `amrviz repro all`) keep the other
+    // experiments' records.
+    let existing = std::fs::read_to_string(out.join("results.json"))
         .ok()
         .and_then(|s| Json::parse(&s).ok())
         .filter(|v| matches!(v, Json::Obj(_)))
         .unwrap_or_else(Json::obj);
     let mut ctx = Ctx {
-        scale: args.scale,
-        seed: args.seed,
-        out: args.out.clone(),
+        scale,
+        seed,
+        out: out.to_path_buf(),
         built: BTreeMap::new(),
         json: existing,
         runs: Vec::new(),
         stage_seconds: BTreeMap::new(),
         experiments: Vec::new(),
         decode_fabs: (0, 0, 0),
-        flame: args.flame.clone(),
-        flame_events: Vec::new(),
     };
     amrviz_obs::enable();
     // Trace ids are derived from the run seed, so the same seed reproduces
     // the same ids (and the same sampling verdicts) at any thread count.
-    amrviz_obs::set_trace_seed(args.seed);
-    amrviz_obs::set_trace_sampling(args.trace_sample);
-    if let Some(jpath) = &args.journal {
-        if let Err(e) = amrviz_obs::journal::start(jpath) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(mpath) = &args.metrics_out {
-        if let Err(e) = amrviz_obs::expose::writer_start(
-            mpath.clone(),
-            std::time::Duration::from_secs_f64(args.metrics_interval),
-        ) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let exp = args.experiment.as_str();
-    let known = [
-        "table1", "table2", "fig1", "fig2", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-        "ablation", "all",
-    ];
-    if args.suite.is_none() && !known.contains(&exp) {
-        eprintln!("unknown experiment `{exp}`; known: {known:?} (or --suite enumerated)");
-        return ExitCode::FAILURE;
-    }
-    let run = |name: &str| args.suite.is_none() && (exp == name || exp == "all");
-    // Each experiment records into a fresh obs recorder so its manifest only
-    // covers its own spans and counters. A panicking experiment is recorded
-    // as `"status":"failed"` and the batch continues — one broken figure
-    // must not cost the rest of an `all` run.
+    amrviz_obs::set_trace_seed(seed);
+    let selected = |name: &str| suite.is_none() && (exp == name || exp == "all");
+    // Each experiment starts from cleared metrics and reads only the spans
+    // that started after its mark, so its manifest covers its own work
+    // while the recorder keeps the whole run for the exporters. A
+    // panicking experiment is recorded as `"status":"failed"` and the
+    // batch continues — one broken figure must not cost the rest of an
+    // `all` run.
     let instrumented = |ctx: &mut Ctx, name: &str, f: &dyn Fn(&mut Ctx)| {
-        amrviz_obs::reset();
+        amrviz_obs::reset_metrics();
+        let start_ns = amrviz_obs::epoch_elapsed_ns();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx)));
-        ctx.finish_experiment(name);
+        ctx.finish_experiment(name, start_ns);
         let mut rec = Json::obj();
         rec.set("name", name);
         match outcome {
@@ -756,81 +629,55 @@ fn main() -> ExitCode {
         }
         ctx.experiments.push(rec);
     };
-    if run("table1") {
+    if selected("table1") {
         instrumented(&mut ctx, "table1", &table1);
     }
-    if run("table2") {
+    if selected("table2") {
         instrumented(&mut ctx, "table2", &table2);
     }
-    if run("fig1") {
+    if selected("fig1") {
         instrumented(&mut ctx, "fig1", &fig1);
     }
-    if run("fig2") {
+    if selected("fig2") {
         instrumented(&mut ctx, "fig2", &fig2);
     }
-    if run("fig9") {
+    if selected("fig9") {
         instrumented(&mut ctx, "fig9", &|c| {
             figs_9_10(c, CompressorKind::SzLr, "fig9")
         });
     }
-    if run("fig10") {
+    if selected("fig10") {
         instrumented(&mut ctx, "fig10", &|c| {
             figs_9_10(c, CompressorKind::SzInterp, "fig10")
         });
     }
-    if run("fig11") {
+    if selected("fig11") {
         instrumented(&mut ctx, "fig11", &fig11);
     }
-    if run("fig12") {
+    if selected("fig12") {
         instrumented(&mut ctx, "fig12", &|c| {
             rate_distortion(c, Application::Warpx, "fig12")
         });
     }
-    if run("fig13") {
+    if selected("fig13") {
         instrumented(&mut ctx, "fig13", &|c| {
             rate_distortion(c, Application::Nyx, "fig13")
         });
     }
-    if run("fig14") {
+    if selected("fig14") {
         instrumented(&mut ctx, "fig14", &fig14);
     }
-    if run("ablation") {
+    if selected("ablation") {
         instrumented(&mut ctx, "ablation", &ablation);
     }
-    if let Some(recipe_src) = args.suite.clone() {
-        instrumented(&mut ctx, "enumerated", &|c| enumerated(c, &recipe_src));
+    if let Some(recipe_src) = &suite {
+        instrumented(&mut ctx, "enumerated", &|c| enumerated(c, recipe_src));
     }
 
-    let json_path: &Path = &ctx.out.join("results.json");
-    if std::fs::write(json_path, ctx.json.to_string_pretty()).is_ok() {
+    let json_path = out.join("results.json");
+    if std::fs::write(&json_path, ctx.json.to_string_pretty()).is_ok() {
         println!("\nresults recorded in {}", json_path.display());
     }
-
-    if let Some(flame_path) = &ctx.flame {
-        match amrviz_obs::flame::write_flamegraph_events(flame_path, &ctx.flame_events) {
-            Ok(()) => println!("flamegraph written to {}", flame_path.display()),
-            Err(e) => eprintln!(
-                "[repro] writing flamegraph to {}: {e}",
-                flame_path.display()
-            ),
-        }
-    }
-
-    // Tear streaming down before the SUMMARY line so its journal totals
-    // are final (the writer threads flush everything on stop).
-    if args.metrics_out.is_some() {
-        amrviz_obs::expose::writer_stop();
-    }
-    let journal_stats = args.journal.as_ref().map(|jpath| {
-        let stats = amrviz_obs::journal::stop();
-        eprintln!(
-            "[repro] journal written to {} ({} lines, {} dropped)",
-            jpath.display(),
-            stats.enqueued,
-            stats.dropped
-        );
-        stats
-    });
 
     // Final machine-readable one-liner: what ran, how well it compressed,
     // and where the wall time went. Also appended to summary.jsonl so
@@ -855,10 +702,6 @@ fn main() -> ExitCode {
             o
         })
         .collect();
-    let any_failed = ctx
-        .experiments
-        .iter()
-        .any(|e| e.get("status").and_then(Json::as_str) == Some("failed"));
     let mut decode_fabs = Json::obj();
     decode_fabs
         .set("ok", ctx.decode_fabs.0)
@@ -869,16 +712,19 @@ fn main() -> ExitCode {
         .set("experiment", exp)
         .set("scale", format!("{:?}", ctx.scale).to_lowercase())
         .set("seed", ctx.seed)
-        .set("git", amrviz_bench::harness::git_describe())
+        .set("git", crate::harness::git_describe())
         .set("threads", amrviz_par::threads() as u64)
         .set("experiments", Json::Arr(ctx.experiments.clone()))
         .set("decode_fabs", decode_fabs)
         .set("runs", Json::Arr(runs))
         .set("stage_seconds", ctx.stage_seconds.to_json());
-    if let Some(stats) = journal_stats {
+    if amrviz_obs::journal::is_active() {
+        // Teardown appends one `journal_stop` line after this summary;
+        // counting it keeps `enqueued` equal to the file's line count.
+        let meta = amrviz_obs::meta_snapshot();
         let mut j = Json::obj();
-        j.set("enqueued", stats.enqueued)
-            .set("dropped", stats.dropped);
+        j.set("enqueued", meta.journal_enqueued + 1)
+            .set("dropped", meta.journal_dropped);
         summary.set("journal", j);
     }
     let line = summary.to_string_compact();
@@ -891,9 +737,5 @@ fn main() -> ExitCode {
     {
         let _ = writeln!(f, "{line}");
     }
-    if any_failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(summary)
 }

@@ -581,6 +581,42 @@ pub fn bench(argv: &[String]) -> Result<(), String> {
 /// `--strict` restores hard failure on the first bad line (the CI
 /// well-formedness check). `--slo SPEC` additionally gates the journal's
 /// server-side outcomes against a declared objective.
+pub fn repro(argv: &[String]) -> Result<(), String> {
+    use amrviz_bench::repro::{run, Target};
+    use amrviz_json::Json;
+    let p = parse(argv, &["scale", "seed", "out", "suite"], &[])?;
+    p.report_warnings();
+    let scale = match p.opt("scale") {
+        None => Scale::Medium,
+        Some(s) => Scale::parse(s).ok_or(format!("unknown scale `{s}`"))?,
+    };
+    let seed = p.opt_parse("seed")?.unwrap_or(42);
+    let out = std::path::PathBuf::from(p.opt("out").unwrap_or("repro_out"));
+    let target = match (p.opt("suite"), p.positional.as_slice()) {
+        (Some(suite), []) => Target::Suite(suite),
+        (None, [experiment]) => Target::Experiment(experiment),
+        (None, []) => return Err("missing experiment name (try `all`)".into()),
+        (Some(_), _) => {
+            return Err("--suite replaces the experiment name; pass one or the other".into())
+        }
+        (None, [_, extra, ..]) => return Err(format!("unexpected argument: {extra}")),
+    };
+    let summary = run(target, scale, seed, &out)?;
+    let failed: Vec<&str> = summary
+        .get("experiments")
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .filter(|e| e.get("status").and_then(Json::as_str) == Some("failed"))
+        .filter_map(|e| e.get("name").and_then(Json::as_str))
+        .collect();
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("experiment(s) failed: {}", failed.join(", ")))
+    }
+}
+
 pub fn stats(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, &["slo"], &["strict"])?;
     p.report_warnings();

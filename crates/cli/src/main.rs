@@ -9,6 +9,7 @@
 //! amrviz extract    <plotfile> --field F --out FILE.obj [--iso V | --quantile Q] [--method M]
 //! amrviz render     <plotfile> --field F --out FILE.png [--mode surface|slice|volume] [...]
 //! amrviz diff       <plotfile A> <plotfile B> --field F [--field-b G]
+//! amrviz repro      <experiment|all> [--scale S] [--seed N] [--out DIR]
 //! ```
 //!
 //! Algorithms: `szlr` (default), `szinterp`, `zfp`. Methods: `resampling`
@@ -29,7 +30,11 @@ static ALLOC: amrviz_fault::CountingAlloc = amrviz_fault::CountingAlloc;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (argv, obs_opts) = match extract_obs_options(argv) {
+    let parsed = extract_obs_options(argv).and_then(|(argv, globals)| {
+        globals.report_warnings();
+        Ok((argv, ObsOptions::from_args(&globals)?))
+    });
+    let (argv, obs_opts) = match parsed {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error: {e}");
@@ -66,6 +71,7 @@ fn main() -> ExitCode {
         "loadgen" => commands::loadgen(rest),
         "bench" => commands::bench(rest),
         "stats" => commands::stats(rest),
+        "repro" => commands::repro(rest),
         "top" => top::top(rest),
         other => Err(format!("unknown command `{other}`\n\n{}", usage())),
     };
@@ -82,7 +88,7 @@ fn main() -> ExitCode {
 }
 
 /// Observability flags, valid on every subcommand.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ObsOptions {
     trace_path: Option<String>,
     flame_path: Option<String>,
@@ -107,6 +113,34 @@ impl Drop for ObsOptions {
 }
 
 impl ObsOptions {
+    /// Reads the global flags out of `p` (see [`extract_obs_options`]),
+    /// validating every numeric value whatever other flags are given.
+    fn from_args(p: &args::Parsed) -> Result<Self, String> {
+        let threads = p.opt_parse::<usize>("threads")?;
+        if threads == Some(0) {
+            return Err("--threads must be at least 1".into());
+        }
+        let trace_sample = p.opt_parse::<u64>("trace-sample")?;
+        if trace_sample == Some(0) {
+            return Err("--trace-sample must be at least 1 (keep every Nth trace)".into());
+        }
+        let metrics_interval_secs = p.opt_parse::<f64>("metrics-interval")?;
+        if let Some(secs) = metrics_interval_secs.filter(|s| !s.is_finite() || *s <= 0.0) {
+            return Err(format!("--metrics-interval must be positive, got {secs}"));
+        }
+        let path = |name| p.opt(name).map(str::to_string);
+        Ok(ObsOptions {
+            trace_path: path("trace"),
+            flame_path: path("flame"),
+            timing: p.switch("timing"),
+            threads,
+            journal_path: path("journal"),
+            metrics_path: path("metrics-out"),
+            metrics_interval_secs,
+            trace_sample,
+        })
+    }
+
     fn active(&self) -> bool {
         self.trace_path.is_some()
             || self.flame_path.is_some()
@@ -125,13 +159,9 @@ impl ObsOptions {
             amrviz_obs::journal::start(std::path::Path::new(path))?;
         }
         if let Some(path) = &self.metrics_path {
-            let secs = self.metrics_interval_secs.unwrap_or(5.0);
-            if !secs.is_finite() || secs <= 0.0 {
-                return Err(format!("--metrics-interval must be positive, got {secs}"));
-            }
             amrviz_obs::expose::writer_start(
                 std::path::PathBuf::from(path),
-                std::time::Duration::from_secs_f64(secs),
+                std::time::Duration::from_secs_f64(self.metrics_interval_secs.unwrap_or(5.0)),
             )?;
         }
         Ok(())
@@ -189,76 +219,45 @@ impl ObsOptions {
     }
 }
 
-/// Strips the global observability flags (`--trace PATH`, `--flame PATH`,
-/// `--timing`, `--threads N`, `--journal FILE`, `--metrics-out FILE`,
-/// `--metrics-interval SECS`, `--trace-sample N` — valid anywhere on the
-/// command line) from `argv` before subcommand dispatch. Repeated value
-/// flags keep the last occurrence and warn on stderr, matching
-/// [`args::parse`].
-fn extract_obs_options(argv: Vec<String>) -> Result<(Vec<String>, ObsOptions), String> {
-    fn set_warn<T: std::fmt::Display>(slot: &mut Option<T>, flag: &str, value: T) {
-        if let Some(prev) = slot.replace(value) {
-            let v = slot.as_ref().expect("just replaced");
-            eprintln!("warning: {flag} given more than once; using `{v}` (ignoring `{prev}`)");
-        }
-    }
-    let mut opts = ObsOptions::default();
+/// Global flags that take a value, and global switches (names without
+/// `--`), valid anywhere on every command line.
+const GLOBAL_VALUE_OPTS: [&str; 7] = [
+    "trace",
+    "flame",
+    "threads",
+    "journal",
+    "metrics-out",
+    "metrics-interval",
+    "trace-sample",
+];
+const GLOBAL_SWITCHES: [&str; 1] = ["timing"];
+
+/// Moves the global flags (and the value after each value flag) out of
+/// `argv` and parses them with [`args::parse`], returning the remaining
+/// subcommand arguments and the parsed globals. `--flag=value` forms are
+/// moved too, so the parser rejects them with its usual guidance.
+fn extract_obs_options(argv: Vec<String>) -> Result<(Vec<String>, args::Parsed), String> {
+    let mut globals = Vec::new();
     let mut rest = Vec::with_capacity(argv.len());
     let mut it = argv.into_iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--trace" => {
-                let path = it.next().ok_or("--trace needs a value".to_string())?;
-                set_warn(&mut opts.trace_path, "--trace", path);
-            }
-            "--flame" => {
-                let path = it.next().ok_or("--flame needs a value".to_string())?;
-                set_warn(&mut opts.flame_path, "--flame", path);
-            }
-            "--timing" => opts.timing = true,
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value".to_string())?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--threads needs a positive integer, got `{v}`"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
+        let name = a
+            .strip_prefix("--")
+            .map(|n| n.split_once('=').map_or(n, |(k, _)| k));
+        match name {
+            Some(n) if GLOBAL_VALUE_OPTS.contains(&n) => {
+                let takes_value = !a.contains('=');
+                globals.push(a);
+                if takes_value {
+                    globals.extend(it.next());
                 }
-                set_warn(&mut opts.threads, "--threads", n);
             }
-            "--journal" => {
-                let path = it.next().ok_or("--journal needs a value".to_string())?;
-                set_warn(&mut opts.journal_path, "--journal", path);
-            }
-            "--metrics-out" => {
-                let path = it.next().ok_or("--metrics-out needs a value".to_string())?;
-                set_warn(&mut opts.metrics_path, "--metrics-out", path);
-            }
-            "--metrics-interval" => {
-                let v = it
-                    .next()
-                    .ok_or("--metrics-interval needs a value".to_string())?;
-                let secs: f64 = v.parse().map_err(|_| {
-                    format!("--metrics-interval needs a number of seconds, got `{v}`")
-                })?;
-                set_warn(&mut opts.metrics_interval_secs, "--metrics-interval", secs);
-            }
-            "--trace-sample" => {
-                let v = it
-                    .next()
-                    .ok_or("--trace-sample needs a value".to_string())?;
-                let n: u64 = v.parse().map_err(|_| {
-                    format!("--trace-sample needs a positive integer N (keep 1/N), got `{v}`")
-                })?;
-                if n == 0 {
-                    return Err("--trace-sample must be at least 1".to_string());
-                }
-                set_warn(&mut opts.trace_sample, "--trace-sample", n);
-            }
+            Some(n) if GLOBAL_SWITCHES.contains(&n) => globals.push(a),
             _ => rest.push(a),
         }
     }
-    Ok((rest, opts))
+    let parsed = args::parse(&globals, &GLOBAL_VALUE_OPTS, &GLOBAL_SWITCHES)?;
+    Ok((rest, parsed))
 }
 
 fn usage() -> &'static str {
@@ -355,6 +354,37 @@ USAGE:
                     self-overhead cell (Nyx × szlr, recorder off vs. on +
                     journal) and exits nonzero when the overhead exceeds
                     the 3% wall-time budget.
+  amrviz repro      <experiment> [--scale tiny|small|medium|paper] [--seed N]
+                    [--out DIR]
+  amrviz repro      --suite enumerated[:RECIPE] [--seed N] [--out DIR]
+                    regenerates the paper's tables and figures: ASCII
+                    tables on stdout; renders, manifest_<experiment>.json,
+                    results.json and summary.jsonl under --out (default
+                    repro_out, scale medium, seed 42); a final one-line
+                    `SUMMARY {...}`. Exits nonzero if any experiment failed.
+                    experiments:
+                      table1   dataset structure (grid sizes, per-level
+                               densities)
+                      table2   CR / PSNR / SSIM / R-SSIM for SZ-L/R and
+                               SZ-Interp
+                      fig1     cracks vs gaps vs redundant-fix on original
+                               data (+ renders)
+                      fig2     AMR solver snapshots with adapting grids
+                               (+ slice renders)
+                      fig9     WarpX × SZ-L/R × {re-sampling, dual-cell} ×
+                               eb sweep
+                      fig10    WarpX × SZ-Interp × methods × eb sweep
+                      fig11    Nyx × both compressors × methods at eb 1e-2
+                      fig12    rate-distortion on WarpX \"Ez\"
+                      fig13    rate-distortion on Nyx \"Density\"
+                      fig14    1D block-artifact smoothing demonstration
+                      ablation redundant-coarse-data handling (skip/restore)
+                               vs ratio
+                      all      everything above
+                    --suite enumerated replaces the experiments with the
+                    recipe-enumerated scenario suite (32 built-in
+                    scenarios); `:@FILE` expands a recipe file and
+                    `:(scenario …)` an inline recipe.
   amrviz stats      <FILE> [--strict] [--slo SPEC]
                     pretty-prints continuous-telemetry artifacts: a
                     `--journal` JSONL file or a `--metrics-out` snapshot
@@ -397,4 +427,64 @@ GLOBAL OPTIONS (valid on every command):
                  head-based trace sampling: keep every N-th trace's spans
                  (counters/histograms are unaffected; default 1 = keep all)
 "
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sv(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn obs(v: &[&str]) -> Result<ObsOptions, String> {
+        let (_, globals) = extract_obs_options(sv(v))?;
+        ObsOptions::from_args(&globals)
+    }
+
+    #[test]
+    fn repeated_global_warns_once_and_last_wins() {
+        let (rest, globals) =
+            extract_obs_options(sv(&["info", "--threads", "2", "p", "--threads", "3"])).unwrap();
+        assert_eq!(rest, sv(&["info", "p"]));
+        assert_eq!(globals.warnings().len(), 1, "{:?}", globals.warnings());
+        assert!(globals.warnings()[0].contains("--threads given more than once"));
+        assert_eq!(ObsOptions::from_args(&globals).unwrap().threads, Some(3));
+    }
+
+    #[test]
+    fn out_of_range_globals_are_errors() {
+        for bad in [
+            &["info", "--threads", "0"][..],
+            &["info", "--trace-sample", "0"],
+            &["info", "--metrics-interval", "0"],
+            &["info", "--metrics-interval", "-1"],
+            &["info", "--metrics-interval", "NaN"],
+        ] {
+            assert!(obs(bad).is_err(), "{bad:?} accepted");
+        }
+        let ok = obs(&["info", "--metrics-interval", "0.5", "--trace-sample", "2"]).unwrap();
+        assert_eq!(ok.metrics_interval_secs, Some(0.5));
+        assert_eq!(ok.trace_sample, Some(2));
+    }
+
+    #[test]
+    fn global_after_positional_is_stripped() {
+        let (rest, globals) =
+            extract_obs_options(sv(&["compress", "plot", "--field", "rho", "--timing"])).unwrap();
+        assert_eq!(rest, sv(&["compress", "plot", "--field", "rho"]));
+        assert!(ObsOptions::from_args(&globals).unwrap().timing);
+        let (rest, _) = extract_obs_options(sv(&["info", "plot", "--flame", "f.txt"])).unwrap();
+        assert_eq!(rest, sv(&["info", "plot"]));
+    }
+
+    #[test]
+    fn equals_style_global_is_rejected() {
+        let err = extract_obs_options(sv(&["info", "--threads=4"])).unwrap_err();
+        assert!(
+            err.contains("`--threads=VALUE`"),
+            "unexpected message: {err}"
+        );
+        assert!(extract_obs_options(sv(&["info", "--journal"])).is_err());
+    }
 }

@@ -13,7 +13,7 @@
 //! * [`scenario`] — the two applications (Nyx-like, WarpX-like) with their
 //!   evaluation fields and iso-values;
 //! * [`experiment`] — runners for each table/figure of the paper;
-//! * [`report`] — plain-text table formatting for the `repro` harness.
+//! * [`report`] — plain-text table formatting for `amrviz repro`.
 //!
 //! # Quickstart
 //!

@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the `repro` harness.
+//! Plain-text table rendering for `amrviz repro`.
 
 use crate::experiment::{CompressionRun, CrackRun, RateDistortionPoint, Table1Row, VizQualityRun};
 

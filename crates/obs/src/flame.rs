@@ -297,22 +297,13 @@ fn html_escape(s: &str) -> String {
 /// collapsed-stack text.
 pub fn write_flamegraph(path: &std::path::Path) -> std::io::Result<()> {
     let events = events_snapshot();
-    write_flamegraph_events(path, &events)
-}
-
-/// [`write_flamegraph`] over an explicit event list (used by `repro`, which
-/// accumulates events across per-experiment recorder resets).
-pub fn write_flamegraph_events(
-    path: &std::path::Path,
-    events: &[SpanEvent],
-) -> std::io::Result<()> {
     let is_html = path
         .extension()
         .is_some_and(|e| e.eq_ignore_ascii_case("html") || e.eq_ignore_ascii_case("htm"));
     let body = if is_html {
-        html(events)
+        html(&events)
     } else {
-        collapsed(events)
+        collapsed(&events)
     };
     std::fs::write(path, body)
 }

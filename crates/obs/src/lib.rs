@@ -310,8 +310,8 @@ thread_local! {
     static TRACE_STATE: Cell<(u64, bool)> = const { Cell::new((0, true)) };
 }
 
-/// Seed from which trace ids are derived (mixable per run: `repro` feeds
-/// its `--seed` here so trace ids are reproducible across reruns).
+/// Seed from which trace ids are derived (mixable per run: `amrviz repro`
+/// feeds its `--seed` here so trace ids are reproducible across reruns).
 static TRACE_SEED: AtomicU64 = AtomicU64::new(0xa317);
 
 /// Head-based sampling modulus: trace ordinal `% n == 0` is kept. 1 keeps
@@ -469,10 +469,11 @@ pub fn is_enabled() -> bool {
 ///
 /// # Windows vs. lifetime totals
 ///
-/// This is the **only** operation that clears lifetime totals. Rolling
+/// This and [`reset_metrics`] are the only operations that clear lifetime
+/// totals. Rolling
 /// window rotation (see [`window`]) merely recycles ring slots as time
 /// advances; `counters_snapshot()` keeps growing monotonically across
-/// rotations and only returns to zero after `reset()`.
+/// rotations and only returns to zero after `reset()` / `reset_metrics()`.
 ///
 /// # Reset during active spans
 ///
@@ -495,10 +496,19 @@ pub fn reset() {
     for shard in &r.events {
         lock_clean(shard).clear();
     }
-    r.metrics.clear();
+    reset_metrics();
     OVERHEAD_NS.store(0, Ordering::Relaxed);
     SPANS_RECORDED.store(0, Ordering::Relaxed);
     mem::reset_peak();
+}
+
+/// Clears only the global counters, gauges and histograms (lifetime
+/// totals and windows), keeping span events and the self-overhead
+/// meta-metrics. `repro` calls this per experiment so each manifest counts
+/// its own work while the whole run's spans stay available to `--flame`,
+/// `--trace` and `--timing`.
+pub fn reset_metrics() {
+    recorder().metrics.clear();
 }
 
 /// Locks a mutex, recovering from poisoning (a panicking instrumented
@@ -515,8 +525,8 @@ fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// when recording is turned off *mid-span*: a counter increment that races
 /// with [`disable`] may or may not land, and nothing is buffered for a
 /// later [`enable`]. Callers needing exact totals must keep the recorder
-/// enabled for the whole measured region (the pattern used by `repro` and
-/// `amrviz bench`: `reset` → `enable` → work → snapshot).
+/// enabled for the whole measured region (the pattern used by
+/// `amrviz repro` and `amrviz bench`: reset → `enable` → work → snapshot).
 pub fn counter_add(name: &'static str, delta: u64) {
     if !is_enabled() {
         return;

@@ -18,7 +18,7 @@
 //! minus documented exclusion rules — into 32 concrete, deterministically
 //! seeded [`ScenarioSpec`]s, each of which [generates](ScenarioSpec::generate)
 //! a full hierarchy. Three consumers drive experiments off this surface:
-//! `repro --suite enumerated`, `amrviz torture --recipes`, and the
+//! `amrviz repro --suite enumerated`, `amrviz torture --recipes`, and the
 //! recipe-sampled property tests.
 //!
 //! Seeding: every spec's seed is a `crates/rng` *fork stream* of the base

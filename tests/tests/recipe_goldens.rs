@@ -13,7 +13,7 @@ use amrviz_recipe::{expand, PINNED_SUBSET};
 use amrviz_viz::extract_amr_isosurface;
 
 /// CI's `enumerated-smoke` job feeds `tests/golden/pinned_subset.recipe`
-/// to `repro --suite`; it must expand to the same specs as the in-crate
+/// to `amrviz repro --suite`; it must expand to the same specs as the in-crate
 /// `PINNED_SUBSET` constant the goldens below pin.
 #[test]
 fn pinned_subset_recipe_file_matches_the_constant() {
