@@ -2,6 +2,7 @@
 //! options. Hand-rolled to keep the dependency budget at zero.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 #[derive(Debug, Default)]
 pub struct Parsed {
@@ -60,6 +61,21 @@ impl Parsed {
         match self.opt(name) {
             None => Ok(None),
             Some(v) => v.parse().map(Some).map_err(|e| format!("--{name}: {e}")),
+        }
+    }
+
+    /// A positive number of seconds that fits a [`Duration`]; NaN, infinite,
+    /// negative, zero and out-of-range values are errors naming the flag.
+    pub fn opt_secs(&self, name: &str) -> Result<Option<Duration>, String> {
+        let Some(secs) = self.opt_parse::<f64>(name)? else {
+            return Ok(None);
+        };
+        match Duration::try_from_secs_f64(secs) {
+            Ok(d) if !d.is_zero() => Ok(Some(d)),
+            _ => Err(format!(
+                "--{name} must be a positive number of seconds below 1.8e19, got {}",
+                self.opt(name).unwrap_or_default()
+            )),
         }
     }
 
@@ -179,5 +195,20 @@ mod tests {
         assert_eq!(p.opt_parse::<u64>("missing").unwrap(), None);
         let bad = parse(&sv(&["--n", "abc"]), &["n"], &[]).unwrap();
         assert!(bad.opt_parse::<u64>("n").is_err());
+    }
+
+    #[test]
+    fn seconds_are_positive_finite_durations() {
+        let p = parse(&sv(&["--t", "0.5"]), &["t"], &[]).unwrap();
+        assert_eq!(p.opt_secs("t").unwrap(), Some(Duration::from_millis(500)));
+        assert_eq!(p.opt_secs("missing").unwrap(), None);
+        for bad in ["-1", "0", "NaN", "inf", "1e30", "soon"] {
+            let p = parse(&sv(&["--t", bad]), &["t"], &[]).unwrap();
+            let err = p.opt_secs("t").unwrap_err();
+            assert!(
+                err.contains("--t"),
+                "{bad}: error does not name the flag: {err}"
+            );
+        }
     }
 }

@@ -1149,7 +1149,7 @@ fn seed_store(dir: &Path, n: usize, seed: u64) -> Result<Vec<u64>, String> {
 }
 
 /// `amrviz serve`: run the progressive server (optionally behind a chaos
-/// proxy) until `--shutdown-after` elapses.
+/// proxy) until `--shutdown-after` elapses, then drain and report.
 pub fn serve(argv: &[String]) -> Result<(), String> {
     let p = parse(
         argv,
@@ -1170,15 +1170,13 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     )?;
     p.report_warnings();
     let store_dir = std::path::PathBuf::from(p.required("store")?);
+    let shutdown_after = p.opt_secs("shutdown-after")?;
     if let Some(n) = p.opt_parse::<usize>("seed-scenarios")? {
         let seed = p.opt_parse::<u64>("seed")?.unwrap_or(1);
         let keys = seed_store(&store_dir, n, seed)?;
         let hex: Vec<String> = keys.iter().map(|k| format!("\"{k:016x}\"")).collect();
         println!("SERVE_KEYS [{}]", hex.join(","));
     }
-    let shutdown_after = p
-        .opt_parse::<f64>("shutdown-after")?
-        .map(std::time::Duration::from_secs_f64);
     if shutdown_after.is_none() {
         eprintln!("note: no --shutdown-after given; serving until killed");
     }
@@ -1192,7 +1190,6 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
             .unwrap_or(256)
             .saturating_mul(1 << 20),
         max_deadline_ms: p.opt_parse::<u32>("max-deadline-ms")?.unwrap_or(10_000),
-        shutdown_after,
         slo: match p.opt("slo") {
             Some(s) => amrviz_obs::slo::SloSpec::parse(s)?,
             None => amrviz_obs::slo::SloSpec::default(),
@@ -1219,8 +1216,9 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
-    // With --shutdown-after, `start`'s accept thread flips the stop flag
-    // itself; joining blocks until the drain completes.
+    // Without --shutdown-after, sleep "forever": the process runs until killed.
+    std::thread::sleep(shutdown_after.unwrap_or(std::time::Duration::MAX));
+    server.shutdown();
     let stats = server.join();
     if let Some(pr) = proxy {
         pr.stop();
@@ -1262,9 +1260,9 @@ pub fn loadgen(argv: &[String]) -> Result<(), String> {
         addr,
         clients: p.opt_parse::<usize>("clients")?.unwrap_or(4),
         rps: p.opt_parse::<f64>("rps")?.unwrap_or(20.0),
-        duration: std::time::Duration::from_secs_f64(
-            p.opt_parse::<f64>("duration")?.unwrap_or(5.0),
-        ),
+        duration: p
+            .opt_secs("duration")?
+            .unwrap_or(std::time::Duration::from_secs(5)),
         deadline_ms: p.opt_parse::<u32>("deadline-ms")?.unwrap_or(500),
         max_retries: p.opt_parse::<u32>("retries")?.unwrap_or(3),
         seed: p.opt_parse::<u64>("seed")?.unwrap_or(1),

@@ -21,6 +21,7 @@ mod commands;
 mod top;
 
 use std::process::ExitCode;
+use std::time::Duration;
 
 // Counting allocator so `amrviz torture` can assert bounded memory on
 // corrupted-stream decodes; negligible overhead on the other commands
@@ -96,7 +97,7 @@ struct ObsOptions {
     threads: Option<usize>,
     journal_path: Option<String>,
     metrics_path: Option<String>,
-    metrics_interval_secs: Option<f64>,
+    metrics_interval: Option<Duration>,
     trace_sample: Option<u64>,
 }
 
@@ -124,10 +125,6 @@ impl ObsOptions {
         if trace_sample == Some(0) {
             return Err("--trace-sample must be at least 1 (keep every Nth trace)".into());
         }
-        let metrics_interval_secs = p.opt_parse::<f64>("metrics-interval")?;
-        if let Some(secs) = metrics_interval_secs.filter(|s| !s.is_finite() || *s <= 0.0) {
-            return Err(format!("--metrics-interval must be positive, got {secs}"));
-        }
         let path = |name| p.opt(name).map(str::to_string);
         Ok(ObsOptions {
             trace_path: path("trace"),
@@ -136,7 +133,7 @@ impl ObsOptions {
             threads,
             journal_path: path("journal"),
             metrics_path: path("metrics-out"),
-            metrics_interval_secs,
+            metrics_interval: p.opt_secs("metrics-interval")?,
             trace_sample,
         })
     }
@@ -161,7 +158,7 @@ impl ObsOptions {
         if let Some(path) = &self.metrics_path {
             amrviz_obs::expose::writer_start(
                 std::path::PathBuf::from(path),
-                std::time::Duration::from_secs_f64(self.metrics_interval_secs.unwrap_or(5.0)),
+                self.metrics_interval.unwrap_or(Duration::from_secs(5)),
             )?;
         }
         Ok(())
@@ -460,11 +457,12 @@ mod tests {
             &["info", "--metrics-interval", "0"],
             &["info", "--metrics-interval", "-1"],
             &["info", "--metrics-interval", "NaN"],
+            &["info", "--metrics-interval", "1e30"],
         ] {
             assert!(obs(bad).is_err(), "{bad:?} accepted");
         }
         let ok = obs(&["info", "--metrics-interval", "0.5", "--trace-sample", "2"]).unwrap();
-        assert_eq!(ok.metrics_interval_secs, Some(0.5));
+        assert_eq!(ok.metrics_interval, Some(Duration::from_millis(500)));
         assert_eq!(ok.trace_sample, Some(2));
     }
 

@@ -30,10 +30,7 @@ pub fn top(argv: &[String]) -> Result<(), String> {
         .positional(0, "server address (HOST:PORT)")?
         .parse()
         .map_err(|e| format!("bad server address: {e}"))?;
-    let interval = p.opt_parse::<f64>("interval")?.unwrap_or(2.0);
-    if !interval.is_finite() || interval <= 0.0 {
-        return Err(format!("--interval must be positive, got {interval}"));
-    }
+    let interval = p.opt_secs("interval")?.unwrap_or(Duration::from_secs(2));
     let max_exemplars = p.opt_parse::<usize>("exemplars")?.unwrap_or(3);
     let once = p.switch("once");
     let as_json = p.switch("json");
@@ -66,7 +63,7 @@ pub fn top(argv: &[String]) -> Result<(), String> {
         if once {
             return Ok(());
         }
-        std::thread::sleep(Duration::from_secs_f64(interval));
+        std::thread::sleep(interval);
     }
 }
 

@@ -15,10 +15,11 @@
 //!   mid-stream reset);
 //! - **none**: bytes pass through untouched.
 
+use crate::accept::Acceptor;
 use amrviz_rng::Rng;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -42,7 +43,8 @@ enum Fault {
 pub struct ChaosConfig {
     /// Probability a direction gets *some* fault.
     pub fault_prob: f64,
-    /// Max injected per-chunk delay in milliseconds.
+    /// Max one-shot delay (before a direction's first forwarded chunk) in
+    /// milliseconds.
     pub max_delay_ms: u64,
 }
 
@@ -82,38 +84,45 @@ pub struct ChaosStats {
 
 /// A running chaos proxy.
 pub struct ChaosProxy {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     stats: Arc<ChaosStats>,
-    accept: Option<std::thread::JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl ChaosProxy {
     /// Starts a proxy on an OS-picked port forwarding to `upstream`.
     pub fn start(upstream: SocketAddr, seed: u64, cfg: ChaosConfig) -> std::io::Result<ChaosProxy> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ChaosStats::default());
-        let accept = {
-            let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
-            std::thread::Builder::new()
-                .name("chaos-accept".into())
-                .spawn(move || accept_loop(&listener, upstream, seed, cfg, &stop, &stats))?
-        };
-        Ok(ChaosProxy {
-            addr,
-            stop,
-            stats,
-            accept: Some(accept),
-        })
+        let base = Rng::seed(seed);
+        let mut conn_index = 0u64;
+        let counts = Arc::clone(&stats);
+        let acceptor = Acceptor::spawn(listener, "chaos-accept", move |client| {
+            counts.connections.fetch_add(1, Ordering::Relaxed);
+            let mut rng = base.fork(conn_index);
+            conn_index += 1;
+            let c2s = pick_fault(&mut rng, &cfg);
+            let s2c = pick_fault(&mut rng, &cfg);
+            for f in [c2s, s2c] {
+                match f {
+                    Fault::Delay(_) => counts.faults_delay.fetch_add(1, Ordering::Relaxed),
+                    Fault::CorruptByte { .. } => {
+                        counts.faults_corrupt.fetch_add(1, Ordering::Relaxed)
+                    }
+                    Fault::ShortAfter(_) => counts.faults_short.fetch_add(1, Ordering::Relaxed),
+                    Fault::None => 0,
+                };
+            }
+            // Upstream down: the client sees a reset.
+            if let Ok(server) = TcpStream::connect_timeout(&upstream, Duration::from_secs(2)) {
+                spawn_pumps(client, server, c2s, s2c);
+            }
+        })?;
+        Ok(ChaosProxy { stats, acceptor })
     }
 
     /// The proxy's listen address (point clients here).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     pub fn stats(&self) -> &ChaosStats {
@@ -122,53 +131,9 @@ impl ChaosProxy {
 
     /// Stops accepting and joins the accept thread. In-flight pump threads
     /// finish on their own (sockets carry timeouts).
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    upstream: SocketAddr,
-    seed: u64,
-    cfg: ChaosConfig,
-    stop: &AtomicBool,
-    stats: &Arc<ChaosStats>,
-) {
-    let base = Rng::seed(seed);
-    let mut conn_index = 0u64;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((client, _)) => {
-                stats.connections.fetch_add(1, Ordering::Relaxed);
-                let mut rng = base.fork(conn_index);
-                conn_index += 1;
-                let c2s = pick_fault(&mut rng, &cfg);
-                let s2c = pick_fault(&mut rng, &cfg);
-                for f in [c2s, s2c] {
-                    match f {
-                        Fault::Delay(_) => stats.faults_delay.fetch_add(1, Ordering::Relaxed),
-                        Fault::CorruptByte { .. } => {
-                            stats.faults_corrupt.fetch_add(1, Ordering::Relaxed)
-                        }
-                        Fault::ShortAfter(_) => stats.faults_short.fetch_add(1, Ordering::Relaxed),
-                        Fault::None => 0,
-                    };
-                }
-                let server = match TcpStream::connect_timeout(&upstream, Duration::from_secs(2)) {
-                    Ok(s) => s,
-                    Err(_) => continue, // upstream down: client sees a reset
-                };
-                spawn_pumps(client, server, c2s, s2c);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
+    pub fn stop(self) {
+        self.acceptor.stop();
+        self.acceptor.join();
     }
 }
 

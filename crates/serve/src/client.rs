@@ -143,9 +143,10 @@ pub fn exchange(addr: SocketAddr, req: &Request, cfg: &ClientConfig) -> Exchange
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(cfg.io_timeout));
     let _ = stream.set_write_timeout(Some(cfg.io_timeout));
-    if proto::write_frame(&mut stream, &req.encode()).is_err() {
-        return finish(ex);
-    }
+    // Read the answer even if the request write fails: a shed reply is
+    // written without reading the request, and the server's close can
+    // reset the connection under our write while the reply is already here.
+    let _ = proto::write_frame(&mut stream, &req.encode());
     let budget = DecodeBudget::permissive();
     loop {
         let payload = match proto::read_frame(&mut stream, MAX_RESPONSE_FRAME) {

@@ -28,6 +28,7 @@
 //! [`chaos`] (fault proxy) · [`loadgen`] (load generator) · [`torture`]
 //! (invariant harness).
 
+mod accept;
 pub mod artifact;
 pub mod cache;
 pub mod chaos;

@@ -20,6 +20,7 @@
 //!   `Corrupt`; a blob whose fabs partially fail decodes under
 //!   `DecodePolicy::Degrade` and is served flagged `FLAG_DEGRADED`.
 
+use crate::accept::Acceptor;
 use crate::artifact::{compressor_for, decode_artifact};
 use crate::cache::{ArenaCache, DecodedEntry};
 use crate::proto::{
@@ -63,8 +64,6 @@ pub struct ServeConfig {
     /// When the remaining deadline budget falls below this fraction at
     /// stream-planning time, serve only the coarse level.
     pub coarse_only_frac: f64,
-    /// Stop accepting and drain after this long (None = run until `stop`).
-    pub shutdown_after: Option<Duration>,
     /// Declared service-level objectives, evaluated over 5 m/1 h burn
     /// windows and surfaced in STATS snapshots + `slo` journal events.
     pub slo: SloSpec,
@@ -82,7 +81,6 @@ impl Default for ServeConfig {
             io_timeout_ms: 2_000,
             retry_after_ms: 50,
             coarse_only_frac: 0.25,
-            shutdown_after: None,
             slo: SloSpec::default(),
         }
     }
@@ -93,6 +91,7 @@ struct Inner {
     store: BlobStore,
     cache: ArenaCache,
     telemetry: ReqTelemetry,
+    /// Set by [`ServerHandle::join`] after the accept thread exits.
     stop: AtomicBool,
     /// Admitted connections with their admission timestamp, so queue-wait
     /// is attributable per request.
@@ -101,19 +100,17 @@ struct Inner {
 }
 
 /// A running server. Dropping the handle does NOT stop the server; call
-/// [`ServerHandle::shutdown`] (or let `shutdown_after` elapse) then
-/// [`ServerHandle::join`].
+/// [`ServerHandle::shutdown`] then [`ServerHandle::join`].
 pub struct ServerHandle {
-    addr: SocketAddr,
     inner: Arc<Inner>,
-    accept: Option<std::thread::JoinHandle<()>>,
+    acceptor: Acceptor,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Live stats (threads may still be mutating them).
@@ -121,22 +118,23 @@ impl ServerHandle {
         self.inner.telemetry.stats()
     }
 
-    /// Begins graceful drain: stop accepting, finish queued work.
+    /// Begins graceful drain: stop accepting (the blocked accept is woken
+    /// by a loopback self-connect). Queued work is still served.
     pub fn shutdown(&self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        self.inner.cond.notify_all();
+        self.acceptor.stop();
     }
 
     /// Waits for drain to complete, flushes the journal, and returns the
-    /// final stats. Call [`ServerHandle::shutdown`] first unless
-    /// `shutdown_after` was set.
-    pub fn join(mut self) -> StatsSnapshot {
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        // Accept thread exit implies stop is set; wake any idle workers.
+    /// final stats. Call [`ServerHandle::shutdown`] first.
+    pub fn join(self) -> StatsSnapshot {
+        // Workers outlive the accept thread: late admissions are served.
+        self.acceptor.join();
+        // Under the queue lock, so no worker misses the wakeup.
+        let q = self.inner.queue.lock().unwrap();
+        self.inner.stop.store(true, Ordering::SeqCst);
+        drop(q);
         self.inner.cond.notify_all();
-        for t in self.workers.drain(..) {
+        for t in self.workers {
             let _ = t.join();
         }
         let snap = self.inner.telemetry.stats();
@@ -170,8 +168,6 @@ impl ServerHandle {
 /// Binds, spawns the accept thread and worker pool, and returns.
 pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
     let store = BlobStore::open(&cfg.store_dir)
         .map_err(|e| std::io::Error::other(format!("store: {e}")))?;
     let telemetry = ReqTelemetry::new(cfg.slo.clone());
@@ -197,47 +193,19 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
                 .spawn(move || worker_loop(&inner))?,
         );
     }
-    let accept = {
-        let inner = Arc::clone(&inner);
-        std::thread::Builder::new()
-            .name("serve-accept".into())
-            .spawn(move || accept_loop(&inner, listener))?
-    };
+    let shared = Arc::clone(&inner);
+    let acceptor = Acceptor::spawn(listener, "serve-accept", move |stream| {
+        let _ = stream.set_nodelay(true);
+        let io_t = Duration::from_millis(shared.cfg.io_timeout_ms.max(1));
+        let _ = stream.set_read_timeout(Some(io_t));
+        let _ = stream.set_write_timeout(Some(io_t));
+        admit(&shared, stream);
+    })?;
     Ok(ServerHandle {
-        addr,
         inner,
-        accept: Some(accept),
+        acceptor,
         workers,
     })
-}
-
-fn accept_loop(inner: &Inner, listener: TcpListener) {
-    let started = Instant::now();
-    loop {
-        if inner.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        if let Some(after) = inner.cfg.shutdown_after {
-            if started.elapsed() >= after {
-                inner.stop.store(true, Ordering::SeqCst);
-                break;
-            }
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let io_t = Duration::from_millis(inner.cfg.io_timeout_ms.max(1));
-                let _ = stream.set_read_timeout(Some(io_t));
-                let _ = stream.set_write_timeout(Some(io_t));
-                admit(inner, stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-    inner.cond.notify_all();
 }
 
 /// Admission control: bounded queue, drop-newest with a typed shed reply.
@@ -278,11 +246,7 @@ fn worker_loop(inner: &Inner) {
                 if inner.stop.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (guard, _) = inner
-                    .cond
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .unwrap();
-                q = guard;
+                q = inner.cond.wait(q).unwrap();
             }
         };
         let Some((stream, admitted_at)) = stream else {

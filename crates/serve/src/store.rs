@@ -4,7 +4,8 @@
 //! per blob (`<key:016x>.blob`). The write path is tmp+rename: bytes land
 //! in a hidden temp file, are fsynced, and only then renamed into place —
 //! a crash mid-write leaves a stray temp file, never a half-written blob
-//! under a valid name. The read path re-hashes the file and compares
+//! under a valid name. On Unix the directory is fsynced after the rename,
+//! so an acknowledged put survives a crash. The read path re-hashes the file and compares
 //! against the key (the filename *is* the checksum); a mismatch means
 //! on-disk corruption, and the blob is **quarantined** — renamed to
 //! `<key>.quarantined`, not deleted — so the corrupt bytes stay available
@@ -93,7 +94,12 @@ impl BlobStore {
             // fsync before rename: the rename must never become visible
             // ahead of the data it names.
             f.sync_all()?;
-            std::fs::rename(&tmp, &dst)
+            std::fs::rename(&tmp, &dst)?;
+            // The rename lives in the directory: sync it too, or a crash
+            // can lose an acknowledged put.
+            #[cfg(unix)]
+            std::fs::File::open(&self.dir)?.sync_all()?;
+            Ok(())
         })();
         if let Err(e) = write {
             let _ = std::fs::remove_file(&tmp);

@@ -163,6 +163,54 @@ fn overload_sheds_with_typed_retry_later() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The accept thread blocks in `accept` instead of sleep-polling, so an
+/// idle server answers a PING in well under a millisecond; and stop wakes
+/// it through loopback even when it listens on the unspecified address.
+#[test]
+fn idle_pings_are_fast_and_unspecified_bind_shuts_down() {
+    let dir = temp_dir("ping");
+    let server = start(ServeConfig {
+        addr: "0.0.0.0:0".into(),
+        store_dir: dir.clone(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr: std::net::SocketAddr = ([127, 0, 0, 1], server.addr().port()).into();
+    let ping = Request {
+        op: Op::Ping,
+        trace: 0xE2E,
+        key: 0,
+        deadline_ms: 1_000,
+        max_level: 0,
+    };
+    let mut rtts: Vec<Duration> = (0..21)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(3));
+            let ex = exchange(addr, &ping, &ClientConfig::default());
+            assert_eq!(ex.outcome, Outcome::Ok, "ping: {ex:?}");
+            ex.elapsed
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_micros(1_500),
+        "idle PING median {median:?} (all: {rtts:?})"
+    );
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        tx.send(server.join()).unwrap();
+    });
+    let stats = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("shutdown + join of a 0.0.0.0 server took over 2 s");
+    assert_eq!(stats.requests, 21);
+    assert_eq!(stats.panics, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn stats_endpoint_reports_stages_slo_and_exemplars() {
     let (dir, key, _) = populate("stats");

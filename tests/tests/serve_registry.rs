@@ -10,11 +10,12 @@ use amrviz_json::Json;
 use amrviz_serve::proto::{Op, Request};
 use amrviz_serve::{
     encode_artifact, exchange, start, BlobStore, ClientConfig, Outcome, ServeConfig, ServerHandle,
+    StatsSnapshot,
 };
 use amrviz_sim::{NyxScenario, Scale};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -64,6 +65,20 @@ fn request(op: Op, key: u64) -> Request {
     }
 }
 
+/// Live stats once every counted request has its `ok` recorded (or 2 s
+/// passed). A worker records the outcome after writing the reply, so the
+/// client can hold the whole reply before the server's counters move.
+fn settled(server: &ServerHandle) -> StatsSnapshot {
+    let t0 = Instant::now();
+    loop {
+        let s = server.stats();
+        if s.ok == s.requests || t0.elapsed() > Duration::from_secs(2) {
+            return s;
+        }
+        std::thread::yield_now();
+    }
+}
+
 /// `lifetime.count` of one STATS histogram section entry (0 when absent).
 fn stats_count(server: &ServerHandle, section: &str, key: &str) -> u64 {
     let ex = exchange(
@@ -104,7 +119,7 @@ fn two_servers_keep_independent_stats_with_the_recorder_enabled() {
         Outcome::Ok
     );
 
-    let (sa, sb) = (a.stats(), b.stats());
+    let (sa, sb) = (settled(&a), settled(&b));
     assert_eq!((sa.requests, sa.ok, sa.cache_misses), (3, 3, 1));
     assert_eq!((sb.requests, sb.ok, sb.cache_misses), (2, 2, 1));
     // Histograms are per server too: B's ping has latency but no stages.
